@@ -8,7 +8,6 @@ from .dominance import (DominanceInfo, compute_dominance,
 from .indexmap import RegIndex, iter_bits
 from .liveness import (BlockLiveness, LivenessInfo, block_use_def,
                        compute_liveness)
-from .sparse_liveness import compute_liveness_sparse
 from .loops import (Loop, LoopInfo, compute_loops, find_back_edges,
                     instruction_depths)
 from .postdominance import (PostDominanceInfo, VIRTUAL_EXIT,
@@ -31,7 +30,6 @@ __all__ = [
     "compute_def_use",
     "compute_dominance",
     "compute_liveness",
-    "compute_liveness_sparse",
     "compute_loops",
     "compute_postdominance",
     "diff_liveness",

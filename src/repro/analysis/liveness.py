@@ -17,7 +17,6 @@ unchanged; bitset consumers use ``live_in_bits`` / ``live_out_bits``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..ir import Function, Instruction, Reg
@@ -102,8 +101,7 @@ class LivenessInfo:
         in layout order, where *live* is the ``set[Reg]`` live immediately
         **before** the instruction.
 
-        One backward pass over the block — linear, unlike calling the old
-        ``live_at_instruction`` at every point (quadratic).
+        One backward pass over the block — linear in its length.
         """
         index = self.index
         for inst, bits in self.scan_block_bits(label):
@@ -342,24 +340,3 @@ def compute_liveness(fn: Function,
                     worklist.append(p)
                     in_list.add(p)
     return LivenessInfo(fn, index, use, defs, live_in, live_out)
-
-
-def live_at_instruction(fn: Function, liveness: LivenessInfo,
-                        label: str, index: int) -> set[Reg]:
-    """Registers live immediately *before* instruction *index* of block
-    *label*.
-
-    .. deprecated::
-        Quadratic when called for every point of a block; whole-block
-        consumers should iterate :meth:`LivenessInfo.scan_block` instead,
-        which computes every point in one linear pass.
-    """
-    warnings.warn(
-        "live_at_instruction is deprecated (quadratic per block); use "
-        "LivenessInfo.scan_block for a linear whole-block scan",
-        DeprecationWarning, stacklevel=2)
-    for i, (_inst, live) in enumerate(liveness.scan_block(label)):
-        if i == index:
-            return live
-    # index == len(instructions): nothing after the block -> its live-out
-    return set(liveness.live_out(label))

@@ -25,8 +25,7 @@ Commands
   requests render as a partial-results appendix and exit nonzero
   instead of aborting the table (see ``docs/robustness.md``)
 * ``cache {stats,verify,gc}`` — inspect, re-checksum, or sweep the
-  persistent result cache and its ``quarantine/`` directory (``gc``
-  also migrates legacy flat entries into their shards)
+  persistent result cache and its ``quarantine/`` directory
 * ``serve``             — run the persistent allocation server: a warm
   worker pool plus the shared result cache behind a JSONL/TCP protocol
   with admission control and micro-batching; ``--access-log`` /
@@ -368,8 +367,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     else:  # gc
         swept = cache.gc()
         print(f"removed {swept['quarantined_removed']} quarantined "
-              f"entries, {swept['tmp_removed']} stray temp files; "
-              f"migrated {swept['migrated']} legacy entries into shards")
+              f"entries, {swept['tmp_removed']} stray temp files")
     return 0
 
 
@@ -391,7 +389,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from .serve.router import RouterConfig
 
         extra: list[str] = ["--queue-limit", str(args.queue_limit),
-                            "--batch-window", str(args.batch_window),
                             "--max-batch", str(args.max_batch)]
         if args.no_cache:
             extra.append("--no-cache")
@@ -434,7 +431,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pool=pool)
     config = ServeConfig(host=args.host, port=args.port,
                          queue_limit=args.queue_limit,
-                         batch_window=args.batch_window,
                          max_batch=args.max_batch,
                          trace_requests=not args.no_request_tracing,
                          access_log=args.access_log,
@@ -591,12 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound — requests beyond N pending "
                         "are rejected with a typed overload error "
                         "(default 256)")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   metavar="SECONDS",
-                   help="how long the batcher lingers for stragglers "
-                        "before dispatching a batch (default 0.005)")
     p.add_argument("--max-batch", type=int, default=32, metavar="N",
-                   help="requests per engine batch (default 32)")
+                   help="most requests per engine batch; each batch "
+                        "takes what is already queued, up to N, "
+                        "without waiting for more (default 32)")
     p.add_argument("--access-log", default=None, metavar="FILE",
                    help="append one JSON access-log line per request "
                         "to FILE (op, key, outcome, retries, per-phase "

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -144,6 +145,7 @@ class ExperimentEngine:
             long-running caller — the allocation server — attaches a
             warm pool so steady-state batches reuse live workers.  The
             caller owns the pool and must ``close()`` it.
+            Concurrent ``run_many`` calls share it.
     """
 
     jobs: int | None = None
@@ -165,6 +167,9 @@ class ExperimentEngine:
         #: harnesses used to infer hit rates from wall-clock deltas;
         #: now the engine records them)
         self.batches: list[BatchStats] = []
+        #: serializes the bookkeeping of concurrent ``run_many`` calls;
+        #: their pool fan-outs run outside it
+        self._lock = threading.Lock()
 
     def run(self, request: ExperimentRequest) -> AllocationSummary:
         """Execute (or recall) one request; raises
@@ -197,41 +202,41 @@ class ExperimentEngine:
         """
         keyed = [(request_key(r), r) for r in requests]
         batch = BatchStats(requests=len(keyed))
-        self.batches.append(batch)
-        self.stats.requests += len(keyed)
-
         resolved: dict[str, AllocationSummary | ExperimentFailure] = {}
         misses: dict[str, ExperimentRequest] = {}
-        for key, request in keyed:
-            if key in resolved or key in misses:
-                self.stats.deduplicated += 1
-                batch.deduplicated += 1
-                continue
-            # non-cacheable (timing) requests are deduplicated within
-            # this batch but never replayed from memo or disk — their
-            # wall-clock data must be measured live every call
-            if request.cacheable:
-                summary = self._memo.get(key)
-                if summary is not None:
-                    self.stats.memo_hits += 1
-                    batch.memo_hits += 1
-                    if observations is not None:
-                        observations[key] = RequestObservation(
-                            source="memo")
-                    resolved[key] = summary
+        with self._lock:
+            self.batches.append(batch)
+            self.stats.requests += len(keyed)
+            for key, request in keyed:
+                if key in resolved or key in misses:
+                    self.stats.deduplicated += 1
+                    batch.deduplicated += 1
                     continue
-                if self.cache is not None:
-                    summary = self.cache.get(key)
+                # non-cacheable (timing) requests are deduplicated within
+                # this batch but never replayed from memo or disk — their
+                # wall-clock data must be measured live every call
+                if request.cacheable:
+                    summary = self._memo.get(key)
                     if summary is not None:
-                        self.stats.cache_hits += 1
-                        batch.cache_hits += 1
+                        self.stats.memo_hits += 1
+                        batch.memo_hits += 1
                         if observations is not None:
                             observations[key] = RequestObservation(
-                                source="cache")
-                        self._memo[key] = summary
+                                source="memo")
                         resolved[key] = summary
                         continue
-            misses[key] = request
+                    if self.cache is not None:
+                        summary = self.cache.get(key)
+                        if summary is not None:
+                            self.stats.cache_hits += 1
+                            batch.cache_hits += 1
+                            if observations is not None:
+                                observations[key] = RequestObservation(
+                                    source="cache")
+                            self._memo[key] = summary
+                            resolved[key] = summary
+                            continue
+                misses[key] = request
 
         if misses:
             outcomes, batch.workers = self._execute(
@@ -261,19 +266,20 @@ class ExperimentEngine:
                       outcome: AllocationSummary | ExperimentFailure
                       ) -> None:
             # flush incrementally: completed work survives interrupts
-            if isinstance(outcome, AllocationSummary):
-                self.stats.executed += 1
-                batch.executed += 1
-                if misses[key].cacheable:
-                    if self.cache is not None:
-                        put_start = time.monotonic()
-                        self.cache.put(key, outcome)
-                        cache_puts[key] = (put_start, time.monotonic())
-                    self._memo[key] = outcome
-            else:
-                self.stats.failed += 1
-                batch.failed += 1
-                self.failures.append(outcome)
+            with self._lock:
+                if isinstance(outcome, AllocationSummary):
+                    self.stats.executed += 1
+                    batch.executed += 1
+                    if misses[key].cacheable:
+                        if self.cache is not None:
+                            put_start = time.monotonic()
+                            self.cache.put(key, outcome)
+                            cache_puts[key] = (put_start, time.monotonic())
+                        self._memo[key] = outcome
+                else:
+                    self.stats.failed += 1
+                    batch.failed += 1
+                    self.failures.append(outcome)
 
         outcomes, sstats = run_supervised(
             list(misses.items()), workers, config=self.supervisor,
@@ -295,15 +301,16 @@ class ExperimentEngine:
                     record.spans.append(
                         Span("cache_put", start=put[0], end=put[1]))
                 observations[key] = record
-        self.stats.retries += sstats.retries
-        self.stats.timeouts += sstats.timeouts
-        self.stats.worker_crashes += sstats.worker_crashes
-        self.stats.quarantined += sstats.quarantined
-        self.stats.expired += sstats.expired
-        self.stats.spawn_failures += sstats.spawn_failures
-        self.stats.fallback_serial += sstats.fallback_serial
-        self.stats.worker_spawns += sstats.worker_spawns
-        self.stats.workers_reused += sstats.workers_reused
+        with self._lock:
+            self.stats.retries += sstats.retries
+            self.stats.timeouts += sstats.timeouts
+            self.stats.worker_crashes += sstats.worker_crashes
+            self.stats.quarantined += sstats.quarantined
+            self.stats.expired += sstats.expired
+            self.stats.spawn_failures += sstats.spawn_failures
+            self.stats.fallback_serial += sstats.fallback_serial
+            self.stats.worker_spawns += sstats.worker_spawns
+            self.stats.workers_reused += sstats.workers_reused
         return outcomes, max(1, workers)
 
     def metrics(self) -> "MetricsRegistry":

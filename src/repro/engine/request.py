@@ -39,7 +39,7 @@ from ..remat import RenumberMode
 #: 4: incremental analysis maintenance (exact coalesce-delete liveness
 #:    patches change colorings; AllocationStats grew incremental fields)
 #: 5: sharded store layout for multi-process sharing (flat v4 entries
-#:    are legacy-read only and never match v5 keys)
+#:    are never read)
 #: 6: the ``allocator`` strategy axis joined the request (and the cached
 #:    summary shape grew an ``allocator`` field) — v5 entries, keyed
 #:    without a strategy, never match

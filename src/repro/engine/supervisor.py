@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -322,9 +323,8 @@ class WorkerPool:
     leases already-live workers (``stats.reused``) and spawns only to
     replace workers lost to crashes or timeout kills.
 
-    Not thread-safe: one supervisor drives the pool at a time (the
-    engine serializes ``run_many`` calls, and the server funnels every
-    batch through one dispatcher).
+    Thread-safe: the allocation server runs up to ``size`` batches at
+    once, and their supervisors lease from this one pool.
     """
 
     def __init__(self, size: int, plan: FaultPlan | None = None):
@@ -337,58 +337,72 @@ class WorkerPool:
         self.consecutive_spawn_failures = 0
         self.closed = False
         self._spawn_attempts = 0
-
-    def has_worker_for_lease(self) -> bool:
-        """Whether :meth:`acquire` could hand out a worker right now."""
-        return bool(self.idle) or self.leased + len(self.idle) < self.size
+        #: guards the lease state; notified whenever a lease ends
+        self._lease_ended = threading.Condition()
 
     def acquire(self) -> _Worker | None:
         """Lease an idle worker, spawning one if the pool is under its
-        size; ``None`` means the spawn failed (counted — check
-        :attr:`consecutive_spawn_failures` for pool health)."""
-        while self.idle:
-            worker = self.idle.pop()
-            if worker.process.is_alive():
-                self.leased += 1
-                self.stats.reused += 1
-                return worker
-            worker.kill()   # died while idle: reap and replace below
-        self._spawn_attempts += 1
-        try:
-            if self.plan is not None \
-                    and self._spawn_attempts <= self.plan.spawn_failures:
-                raise OSError("injected spawn failure")
-            worker = _Worker(self.ctx, self.plan)
-        except OSError:
-            self.stats.spawn_failures += 1
-            self.consecutive_spawn_failures += 1
-            return None
-        self.consecutive_spawn_failures = 0
-        self.stats.spawned += 1
-        self.leased += 1
-        return worker
+        size; ``None`` means every worker is leased.  A refused spawn
+        is counted (check :attr:`consecutive_spawn_failures` for pool
+        health) and raises :class:`OSError`."""
+        with self._lease_ended:
+            while self.idle:
+                worker = self.idle.pop()
+                if worker.process.is_alive():
+                    self.leased += 1
+                    self.stats.reused += 1
+                    return worker
+                worker.kill()   # died while idle: reap and replace below
+            if self.leased >= self.size:
+                return None
+            self._spawn_attempts += 1
+            try:
+                if self.plan is not None \
+                        and self._spawn_attempts <= self.plan.spawn_failures:
+                    raise OSError("injected spawn failure")
+                worker = _Worker(self.ctx, self.plan)
+            except OSError:
+                self.stats.spawn_failures += 1
+                self.consecutive_spawn_failures += 1
+                raise
+            self.consecutive_spawn_failures = 0
+            self.stats.spawned += 1
+            self.leased += 1
+            return worker
+
+    def wait_for_lease(self, timeout: float | None) -> None:
+        """Block until :meth:`acquire` could lease a worker, or until
+        *timeout* seconds pass."""
+        with self._lease_ended:
+            self._lease_ended.wait_for(
+                lambda: self.idle or self.leased < self.size, timeout)
 
     def release(self, worker: _Worker) -> None:
         """Return a healthy leased worker for reuse."""
-        self.leased -= 1
-        if self.closed:
-            worker.kill()
-        else:
-            self.idle.append(worker)
+        with self._lease_ended:
+            self.leased -= 1
+            if self.closed:
+                worker.kill()
+            else:
+                self.idle.append(worker)
+            self._lease_ended.notify_all()
 
     def discard(self, worker: _Worker) -> None:
         """Account for a leased worker the caller killed (or found
         dead); the pool will spawn a replacement on demand."""
-        self.leased -= 1
-        self.stats.discarded += 1
+        with self._lease_ended:
+            self.leased -= 1
+            self.stats.discarded += 1
+            self._lease_ended.notify_all()
 
     def close(self) -> None:
         """Kill every idle worker; later releases kill instead of
         re-idling.  Safe to call more than once."""
-        self.closed = True
-        for worker in self.idle:
-            worker.kill()
-        self.idle.clear()
+        with self._lease_ended:
+            self.closed = True
+            for worker in self.idle:
+                worker.kill()
+            self.idle.clear()
 
 
 class _Supervisor:
@@ -433,8 +447,6 @@ class _Supervisor:
             self._drain_serial()
             return self.results
         assert self.pool is not None
-        spawned_before = self.pool.stats.spawned
-        reused_before = self.pool.stats.reused
         try:
             while self.outstanding:
                 now = time.monotonic()
@@ -447,10 +459,6 @@ class _Supervisor:
                 self._wait()
         finally:
             self._shutdown()
-            self.stats.worker_spawns = \
-                self.pool.stats.spawned - spawned_before
-            self.stats.workers_reused = \
-                self.pool.stats.reused - reused_before
         return self.results
 
     def _promote(self, now: float) -> None:
@@ -486,18 +494,25 @@ class _Supervisor:
             if deadline is not None and now >= deadline:
                 self._expire(self.runnable.popleft())
                 continue
-            if len(self.busy) >= self.workers_target \
-                    or not self.pool.has_worker_for_lease():
+            if len(self.busy) >= self.workers_target:
                 break
             acquire_started = time.monotonic()
-            worker = self.pool.acquire()
-            if worker is None:
+            try:
+                worker = self.pool.acquire()
+            except OSError:
                 self.stats.spawn_failures += 1
                 if self.pool.consecutive_spawn_failures \
                         >= self.config.max_spawn_failures:
                     self.fallback = True
                     self.stats.fallback_serial += 1
                 break
+            if worker is None:  # other batches lease every worker
+                break
+            # a fresh spawn announces "ready" only once it has imported
+            if worker.ready:
+                self.stats.workers_reused += 1
+            else:
+                self.stats.worker_spawns += 1
             self._dispatch(worker, self.runnable.popleft(),
                            time.monotonic(), acquire_started)
 
@@ -561,7 +576,10 @@ class _Supervisor:
         wakeups += [a.ready_at for a in self.delayed]
         timeout = max(0.0, min(wakeups) - now) if wakeups else None
         if not self.busy:
-            if timeout:
+            if self.runnable:
+                # other batches lease every worker: wait for one
+                self.pool.wait_for_lease(timeout)
+            elif timeout:
                 time.sleep(timeout)
             return
         objs: list = []

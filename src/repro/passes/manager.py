@@ -37,8 +37,8 @@ from typing import Any, Callable
 from ..analysis import (CodeDelta, DefUse, DominanceInfo, LivenessInfo,
                         LivenessUpdateStats, LoopInfo, PostDominanceInfo,
                         compute_def_use, compute_dominance,
-                        compute_liveness, compute_liveness_sparse,
-                        compute_loops, compute_postdominance)
+                        compute_liveness, compute_loops,
+                        compute_postdominance)
 from ..ir import Function
 from ..obs import MetricsRegistry
 
@@ -55,12 +55,6 @@ class Analysis:
 
 
 LIVENESS = Analysis("liveness", lambda fn, am: compute_liveness(fn))
-#: alternate provider for the same fact: the sparse per-variable solver
-#: (identical result, different cost model — see
-#: :mod:`repro.analysis.sparse_liveness`); install it with
-#: ``AnalysisManager(fn, providers={"liveness": SPARSE_LIVENESS})``
-SPARSE_LIVENESS = Analysis("liveness",
-                           lambda fn, am: compute_liveness_sparse(fn))
 DOMINANCE = Analysis("dominance", lambda fn, am: compute_dominance(fn))
 POSTDOMINANCE = Analysis("postdominance",
                          lambda fn, am: compute_postdominance(fn))
@@ -157,19 +151,10 @@ class AnalysisManager:
     """
 
     def __init__(self, fn: Function,
-                 metrics: MetricsRegistry | None = None,
-                 providers: dict[str, Analysis] | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.fn = fn
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._cache: dict[str, Any] = {}
-        #: name -> alternate Analysis serving that name (e.g. the sparse
-        #: liveness solver); the cache key stays the *name*, so every
-        #: consumer and counter is oblivious to which provider ran
-        self._providers = dict(providers) if providers else {}
-        for name, provider in self._providers.items():
-            if provider.name != name:
-                raise ValueError(
-                    f"provider for {name!r} computes {provider.name!r}")
 
     # -- retrieval ------------------------------------------------------------
 
@@ -178,7 +163,6 @@ class AnalysisManager:
         if value is not None:
             self.metrics.counter(f"analysis.reused.{analysis.name}").inc()
             return value
-        analysis = self._providers.get(analysis.name, analysis)
         value = analysis.compute(self.fn, self)
         self._cache[analysis.name] = value
         self.metrics.counter(f"analysis.computed.{analysis.name}").inc()

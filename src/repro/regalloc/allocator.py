@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from ..ir import Function, verify_function
 from ..machine import MachineDescription, standard_machine
 from ..obs import Span, Tracer
-from ..passes import AnalysisManager, PreservedAnalyses, SPARSE_LIVENESS
+from ..passes import AnalysisManager, PreservedAnalyses
 from ..remat import RenumberMode
 from .strategy import (AllocationContext, AllocationError, AllocationStats,
                        AllocatorStrategy, make_strategy)
@@ -132,7 +132,6 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
              pre_split=None, tracer: Tracer | None = None,
              verify_rounds: bool = False, incremental: bool = True,
              verify_incremental: bool = False,
-             liveness_mode: str = "dense",
              allocator: str = "iterated") -> AllocationResult:
     """Allocate registers for *fn*.
 
@@ -173,10 +172,6 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
             against a from-scratch recomputation (patched liveness vs.
             a fresh fixed point, patched graphs vs. fresh builds) and
             raise on any divergence.  Expensive; for test suites and CI.
-        liveness_mode: ``"dense"`` (the bit-vector worklist solver) or
-            ``"sparse"`` (per-variable backward propagation,
-            :mod:`repro.analysis.sparse_liveness`) — same fixed point,
-            different cost model.
         allocator: the allocation discipline — ``"iterated"`` (the
             paper's Chaitin/Briggs loop, the default) or ``"ssa"``
             (spill everywhere under SSA form; see
@@ -191,8 +186,6 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
     # caller's function half-normalized (unreachable blocks dropped,
     # critical edges split) — the driver must reject bad arguments
     # while *fn* is still untouched
-    if liveness_mode not in ("dense", "sparse"):
-        raise ValueError(f"unknown liveness_mode {liveness_mode!r}")
     if not isinstance(mode, RenumberMode):
         raise ValueError(f"mode must be a RenumberMode, got {mode!r}")
     strategy: AllocatorStrategy = make_strategy(allocator)
@@ -212,9 +205,7 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
         # the CFG shape never changes after edge splitting, so dominance
         # and loop nesting are computed once here and preserved by every
         # round's invalidations
-        providers = ({"liveness": SPARSE_LIVENESS}
-                     if liveness_mode == "sparse" else None)
-        am = AnalysisManager(work, providers=providers)
+        am = AnalysisManager(work)
         with tracer.span("cfa"):
             dom = am.dominance()
             loops = am.loops()

@@ -15,12 +15,14 @@ serves allocation requests to any number of clients over JSONL/TCP
   whose key is already queued or executing attaches to the existing
   future and consumes *no* queue slot: one execution answers every
   subscriber (``serve.deduplicated``).
-* **Micro-batching** — a single batcher task drains the queue, waits
-  ``batch_window`` seconds for stragglers (up to ``max_batch``), and
-  hands the whole batch to :meth:`ExperimentEngine.run_many
+* **Micro-batching** — a single batcher task takes the queue head plus
+  whatever else is already queued (up to ``max_batch``), without
+  waiting, and hands the whole batch to :meth:`ExperimentEngine.run_many
   <repro.engine.engine.ExperimentEngine.run_many>` on a worker thread.
-  Concurrent clients therefore share one cache pass and one supervised
-  fan-out instead of serializing whole round-trips.
+  Up to one batch per pool worker runs at once, their supervisors
+  sharing the pool; once every batch slot is taken, arrivals pile up in
+  the queue and form the next batch.  A lone request is dispatched at
+  once, and concurrent misses keep every worker busy.
 * **Warm workers** — the engine's pool outlives every batch, so
   steady-state traffic reuses live worker processes; interpreter spawn
   and import cost is paid at most ``pool.size`` times (plus crash
@@ -43,9 +45,9 @@ serves allocation requests to any number of clients over JSONL/TCP
   and an optional Prometheus text endpoint (see
   :mod:`repro.serve.observe`).
 
-The batcher is the only touchpoint of the (thread-oblivious) engine and
-pool, so no locking is needed around them; per-connection writes are
-serialized with an ``asyncio`` lock so interleaved responses cannot
+Concurrent batches call the engine from executor threads; the engine
+locks its bookkeeping and the pool its leases.  Per-connection writes
+are serialized with an ``asyncio`` lock so interleaved responses cannot
 corrupt the stream.
 """
 
@@ -83,10 +85,9 @@ class ServeConfig:
             :attr:`AllocationServer.port`).
         queue_limit: admission bound — queued-but-unbatched requests
             beyond this are rejected with ``overload``.
-        batch_window: seconds the batcher lingers for stragglers after
-            the first request of a batch arrives.
-        max_batch: requests per engine batch (a full batch dispatches
-            without waiting out the window).
+        max_batch: most requests per engine batch; the batcher takes
+            what is already queued up to this many and never waits for
+            more.
         trace_requests: collect per-request engine observations
             (attempt spans, provenance) and stitch complete traces for
             the flight recorder; off, requests still get lifecycle
@@ -114,7 +115,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     queue_limit: int = 256
-    batch_window: float = 0.005
     max_batch: int = 32
     trace_requests: bool = True
     access_log: str | pathlib.Path | None = None
@@ -172,6 +172,9 @@ class AllocationServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._request_seq = itertools.count(1)
         self._access_log = None
+        #: wall seconds of the last engine batch, the unit of
+        #: :meth:`_retry_after`
+        self._last_batch_s = 0.0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -440,38 +443,38 @@ class AllocationServer:
         return {"id": request_id, "ok": False, "error": body}
 
     def _retry_after(self) -> float:
-        """The back-off hint for a rejected request: roughly how long
-        the backlog takes to clear one batch's worth of room."""
-        batches_queued = self.queue.qsize() / max(1, self.config.max_batch)
-        return round(self.config.batch_window * (1.0 + batches_queued)
-                     + 0.01, 4)
+        """The back-off hint for a rejected request: how long one batch
+        took last, the time a finishing batch takes to free up to
+        ``max_batch`` queue slots."""
+        return round(self._last_batch_s + 0.01, 4)
 
     # -- the batcher -----------------------------------------------------------
 
     async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
+        # up to one batch per pool worker runs concurrently: a request
+        # dispatches while a slot is free and queues while all are taken
+        pool = getattr(self.engine, "pool", None)
+        slots = asyncio.Semaphore(pool.size if pool is not None else 1)
+        running: set[asyncio.Task] = set()
         while True:
-            head = await self.queue.get()
-            if head is None:
-                return
-            head.t_dequeue = time.monotonic()
-            batch = [head]
-            deadline = loop.time() + self.config.batch_window
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self.queue.get(),
-                                                  remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is None:  # drain sentinel: finish, then stop
-                    await self._run_batch(batch)
-                    return
+            await slots.acquire()
+            batch: list[_Pending] = []
+            item = await self.queue.get()
+            while item is not None:
                 item.t_dequeue = time.monotonic()
                 batch.append(item)
-            await self._run_batch(batch)
+                if len(batch) == self.config.max_batch \
+                        or self.queue.empty():
+                    break
+                item = self.queue.get_nowait()
+            if batch:
+                task = asyncio.create_task(self._run_batch(batch))
+                running.add(task)
+                task.add_done_callback(running.discard)
+                task.add_done_callback(lambda _: slots.release())
+            if item is None:  # drain sentinel: finish, then stop
+                await asyncio.gather(*running)
+                return
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         self.metrics.counter("serve.batches").inc()
@@ -483,6 +486,7 @@ class AllocationServer:
         try:
             outcomes = await loop.run_in_executor(None, self._execute,
                                                   batch)
+            self._last_batch_s = time.monotonic() - dispatched
         except Exception as exc:  # defensive: answer rather than hang
             logger.exception("batch execution failed")
             outcomes = {p.key: ("error", {"kind": "internal",
@@ -497,7 +501,8 @@ class AllocationServer:
                                             "message": "no outcome"})))
 
     def _execute(self, batch: list[_Pending]) -> dict[str, tuple]:
-        """Worker-thread side: the only caller of the engine and pool."""
+        """Worker-thread side: the server's only call into the engine
+        (one per running batch)."""
         outcomes: dict[str, tuple] = {}
         plan = self.config.fault_plan
         if plan is not None:

@@ -106,22 +106,6 @@ class TestScanBlock:
                 assert live.index.to_set(bits) == at
 
 
-class TestLiveAtInstructionDeprecated:
-    def test_warns_and_is_not_reexported(self):
-        # the helper survives in its home module (deprecated) but is no
-        # longer part of the package surface
-        import repro.analysis
-        from repro.analysis.liveness import live_at_instruction
-
-        assert not hasattr(repro.analysis, "live_at_instruction")
-        fn = single_loop()
-        live = compute_liveness(fn)
-        blk = fn.blocks[0]
-        with pytest.deprecated_call():
-            at = live_at_instruction(fn, live, blk.label, 0)
-        assert at == live.live_in(blk.label)
-
-
 class TestRegIndexViews:
     def test_roundtrip_through_bitsets(self):
         fn = single_loop()

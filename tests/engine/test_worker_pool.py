@@ -1,5 +1,6 @@
 """The persistent :class:`WorkerPool`: warm reuse across batches."""
 
+import concurrent.futures
 import pickle
 
 import pytest
@@ -69,6 +70,27 @@ class TestWarmReuse:
                    for o in out.values())
         assert pool.stats.spawned == 2
         assert stats.worker_spawns == 1
+
+
+class TestConcurrentBatches:
+    def test_batches_share_the_pool_and_wait_for_a_lease(self, pool):
+        # two threads drive one single-worker engine: the batch that
+        # finds the worker leased waits for it instead of spawning more
+        engine = ExperimentEngine(jobs=1, use_cache=False, pool=pool)
+        baseline = ExperimentEngine(jobs=1, use_cache=False)
+        batches = [requests(3), requests(3, base=3)]
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            outs = list(threads.map(engine.run_many, batches))
+        for out, reqs in zip(outs, batches):
+            assert [pickle.dumps(o.without_timing()) for o in out] \
+                == [pickle.dumps(baseline.run(r).without_timing())
+                    for r in reqs]
+        assert pool.stats.spawned == 1
+        assert pool.leased == 0
+        assert engine.stats.executed == 6
+        assert engine.stats.worker_spawns + engine.stats.workers_reused \
+            == 6
+        assert len(engine.batches) == 2
 
 
 class TestLifecycle:

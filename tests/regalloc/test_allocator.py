@@ -229,16 +229,6 @@ class TestAnalysisAccounting:
                           mode=RenumberMode.REMAT, verify_incremental=True)
         assert result.stats.n_liveness_updates == result.stats.n_rounds - 1
 
-    def test_sparse_liveness_mode_identical_output(self):
-        from repro.ir import function_to_text
-
-        kwargs = dict(machine=machine_with(8, 8), mode=RenumberMode.REMAT)
-        dense = allocate(self._kernel(), **kwargs)
-        sparse = allocate(self._kernel(), liveness_mode="sparse", **kwargs)
-        assert (function_to_text(dense.function)
-                == function_to_text(sparse.function))
-        assert sparse.stats.n_liveness_computed == sparse.stats.n_rounds + 1
-
     def test_cfg_analyses_computed_once_for_whole_allocation(self):
         result = allocate(self._kernel(), machine=machine_with(8, 8),
                           mode=RenumberMode.REMAT)

@@ -15,8 +15,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import compute_liveness, compute_liveness_sparse, \
-    diff_liveness
+from repro.analysis import compute_liveness, diff_liveness
 from repro.benchsuite import GeneratorConfig, random_program
 from repro.machine import machine_with
 from repro.passes import AnalysisManager
@@ -159,16 +158,3 @@ def test_coalesce_patches_match_rebuilds(seed):
                                    liveness=liveness,
                                    verify_incremental=True)
     assert not diff_graphs(graph, build_interference_graph(fn, liveness))
-
-
-@common
-@given(seed=st.integers(0, 10_000))
-def test_sparse_liveness_matches_dense(seed):
-    """The Tavares-style sparse construction computes the same fixed
-    point as the dense worklist, bit for bit, pre- and post-renumber."""
-    for fn in (random_program(seed, SHAPES), _prepared(seed)):
-        dense = compute_liveness(fn)
-        sparse = compute_liveness_sparse(fn, index=dense.index)
-        for label in fn.reverse_postorder():
-            assert sparse.live_in_bits(label) == dense.live_in_bits(label)
-            assert sparse.live_out_bits(label) == dense.live_out_bits(label)

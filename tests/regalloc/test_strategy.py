@@ -43,7 +43,6 @@ class TestValidationOrdering:
     edges split)."""
 
     @pytest.mark.parametrize("kwargs", [
-        {"liveness_mode": "densest"},
         {"mode": "remat"},          # a string, not a RenumberMode
         {"allocator": "linear-scan"},
     ])

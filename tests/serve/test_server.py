@@ -3,6 +3,9 @@
 import asyncio
 import concurrent.futures
 import pickle
+import threading
+import time
+import types
 
 import pytest
 
@@ -47,6 +50,7 @@ class TestAdmission:
             overloaded = await server._respond(line("allocate", 1))
             assert overloaded["ok"] is False
             assert overloaded["error"]["kind"] == "overload"
+            assert overloaded["error"]["retry_after"] > 0
             assert server.metrics.counters()[
                 "serve.overload_rejections"] == 1
             # now drain: run the batcher until the first answer lands
@@ -108,6 +112,125 @@ class TestAdmission:
         asyncio.run(scenario())
 
 
+class GatedEngine:
+    """A serial engine whose ``run_many`` records each batch (by the
+    requests' first argument), signals *entered* and then blocks until
+    *gate* is set.  *slots* fakes the pool size the batcher reads."""
+
+    def __init__(self, slots: int = 1, delay: float = 0.0):
+        self.inner = serial_engine()
+        self.pool = types.SimpleNamespace(size=slots)
+        self.delay = delay
+        self.batches: list[list[int]] = []
+        self.entered = threading.Semaphore(0)
+        self.gate = threading.Event()
+
+    def run_many(self, requests, **kwargs):
+        self.batches.append([r.args[0] for r in requests])
+        self.entered.release()
+        assert self.gate.wait(timeout=30)
+        time.sleep(self.delay)
+        return self.inner.run_many(requests, **kwargs)
+
+    async def wait_entered(self) -> None:
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.entered.acquire,
+                                          True, 30)
+
+
+@pytest.fixture
+def timed_waits(monkeypatch):
+    """Records every timed ``asyncio.wait_for``/``asyncio.sleep`` —
+    a batcher that lingers for stragglers makes one."""
+    calls = []
+    real_sleep, real_wait_for = asyncio.sleep, asyncio.wait_for
+
+    async def sleep(delay, *args, **kwargs):
+        if delay > 0:
+            calls.append(("sleep", delay))
+        return await real_sleep(delay, *args, **kwargs)
+
+    async def wait_for(awaitable, timeout):
+        calls.append(("wait_for", timeout))
+        return await real_wait_for(awaitable, timeout)
+
+    monkeypatch.setattr(asyncio, "sleep", sleep)
+    monkeypatch.setattr(asyncio, "wait_for", wait_for)
+    return calls
+
+
+def send(server: AllocationServer, *ns: int) -> list[asyncio.Future]:
+    return [asyncio.ensure_future(
+                server._respond(line("allocate", n, f"r{n}")))
+            for n in ns]
+
+
+class TestBatcher:
+    """The batcher dispatches the queue head at once, runs up to one
+    batch per pool worker, and batches only what queued up while every
+    batch slot was taken."""
+
+    @pytest.mark.parametrize("max_batch,slots,expected", [
+        (32, 1, [[0], [1, 2, 3]]),
+        (2, 1, [[0], [1, 2], [3]]),
+        (32, 2, [[0], [1], [2, 3]]),
+    ])
+    def test_arrivals_while_slots_are_taken_form_the_next_batch(
+            self, max_batch, slots, expected, timed_waits):
+        async def scenario():
+            engine = GatedEngine(slots)
+            server = AllocationServer(engine,
+                                      ServeConfig(max_batch=max_batch))
+            batcher = asyncio.ensure_future(server._batcher())
+            running = send(server, 0)
+            await engine.wait_entered()
+            assert engine.batches == [[0]]
+            if slots == 2:      # a free slot dispatches the next at once
+                running += send(server, 1)
+                await engine.wait_entered()
+                assert engine.batches == [[0], [1]]
+            queued = [n for n in (1, 2, 3) if n >= slots]
+            running += send(server, *queued)
+            await asyncio.sleep(0)          # let them reach the queue
+            assert server.queue.qsize() == len(queued)
+            engine.gate.set()
+            responses = await asyncio.gather(*running)
+            assert [r["ok"] for r in responses] == [True] * 4
+            assert [r["id"] for r in responses] == ["r0", "r1", "r2", "r3"]
+            assert engine.batches == expected
+            await server.queue.put(None)
+            await batcher
+
+        asyncio.run(scenario())
+        assert timed_waits == []
+
+    def test_retry_after_is_one_batch_of_the_last_batch_time(self):
+        async def scenario():
+            engine = GatedEngine(delay=0.3)
+            engine.gate.set()
+            server = AllocationServer(engine, ServeConfig(queue_limit=2,
+                                                          max_batch=1))
+            batcher = asyncio.ensure_future(server._batcher())
+            running = send(server, 0)
+            await engine.wait_entered()
+            running += send(server, 1, 2)   # fills the queue
+            await asyncio.sleep(0)
+            await running[0]                # a 0.3 s batch has finished
+            await engine.wait_entered()
+            running += send(server, 3)      # refills the queue
+            await asyncio.sleep(0)
+            assert server.queue.qsize() == 2
+            overloaded = await server._respond(line("allocate", 4))
+            hint = overloaded["error"]["retry_after"]
+            # one batch's worth, not the whole two-batch backlog
+            assert 0.3 <= hint < 0.6
+            assert all(r["ok"] for r in await asyncio.gather(*running))
+            await server.queue.put(None)
+            await batcher
+
+        asyncio.run(scenario())
+
+
 class TestEndToEnd:
     """Socket-level tests through :class:`ServerThread`."""
 
@@ -147,7 +270,7 @@ class TestEndToEnd:
             local.splitlines()[0])["function"]
 
     def test_concurrent_clients_batch_and_agree(self):
-        config = ServeConfig(batch_window=0.05, max_batch=16)
+        config = ServeConfig(max_batch=16)
         with ServerThread(serial_engine(), config) as srv:
             def one(n):
                 with ServeClient("127.0.0.1", srv.port) as client:
