@@ -312,8 +312,8 @@ def test_supervised_overhead_within_five_percent(results_dir):
     import json
     import multiprocessing
 
-    from repro.engine import execute_request, request_key
-    from repro.engine.supervisor import run_supervised
+    from repro.engine import (EngineStats, WorkerPool, execute_request,
+                              request_key, run_supervised)
     from repro.machine import machine_with
 
     kernel = KERNELS_BY_NAME["repvid"]
@@ -331,7 +331,14 @@ def test_supervised_overhead_within_five_percent(results_dir):
             pool.map(execute_request, requests)
 
     def supervised_suite():
-        outcomes, stats = run_supervised(items, jobs)
+        # build and close the pool inside the timed work, so it pays
+        # the same worker spawns as the Pool.map baseline
+        stats = EngineStats()
+        pool = WorkerPool(jobs)
+        try:
+            outcomes = run_supervised(items, pool, stats=stats)
+        finally:
+            pool.close()
         assert stats.retries == 0 and stats.worker_crashes == 0
         assert len(outcomes) == len(items)
 

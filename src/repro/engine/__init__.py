@@ -12,23 +12,20 @@ model, and ``faults.py`` for the deterministic chaos harness.
 
 from .cache import (CacheStats, ResultCache, SHARD_WIDTH,
                     default_cache_dir, QUARANTINE_DIR)
-from .engine import (BatchStats, EngineStats, ExperimentEngine,
-                     RequestObservation, default_engine)
+from .engine import (EngineStats, ExperimentEngine, RequestObservation,
+                     default_engine)
 from .executor import execute_request
 from .faults import (CORRUPTION_KINDS, FaultPlan, InjectedFault,
                      SERVE_KILL_EXIT_CODE, ServeFaultPlan,
                      corrupt_cache_entry)
 from .request import (AllocationSummary, CACHE_VERSION, ExperimentRequest,
                       TimingReport, TimingSample, request_key)
-from .supervisor import (AttemptObservation, ExperimentError,
-                         ExperimentFailure, PoolStats, SupervisedStats,
+from .supervisor import (ExperimentError, ExperimentFailure, PoolStats,
                          SupervisorConfig, WorkerPool, expect_summary,
                          run_supervised)
 
 __all__ = [
     "AllocationSummary",
-    "AttemptObservation",
-    "BatchStats",
     "CACHE_VERSION",
     "CORRUPTION_KINDS",
     "CacheStats",
@@ -46,7 +43,6 @@ __all__ = [
     "SERVE_KILL_EXIT_CODE",
     "SHARD_WIDTH",
     "ServeFaultPlan",
-    "SupervisedStats",
     "SupervisorConfig",
     "WorkerPool",
     "TimingReport",

@@ -3,7 +3,7 @@
 The chaos suite needs to *prove* the supervisor's recovery paths — not
 hope they work — so every fault here is planned, seeded, and named.  A
 :class:`FaultPlan` is an immutable, picklable value constructed up
-front; the supervisor ships it to every worker it spawns, and both
+front; the worker pool ships it to every worker it spawns, and both
 sides consult it at fixed injection points:
 
 worker side (``supervisor.worker_main``), per ``(request key, attempt)``:
@@ -18,7 +18,7 @@ worker side (``supervisor.worker_main``), per ``(request key, attempt)``:
 supervisor side:
 
 * ``spawn_failures``  — the first N worker spawns fail, driving the
-  pool-unhealthy → serial-fallback path;
+  pool-unhealthy → in-process fallback path;
 * ``interrupt_after`` — a ``KeyboardInterrupt`` fires after N results
   have been delivered, driving the prompt-termination path.
 

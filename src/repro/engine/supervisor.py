@@ -17,25 +17,25 @@ lost the entire batch.  This module replaces the pool with a
   requests still come back as normal summaries, so harnesses render
   partial tables instead of aborting;
 * when the pool itself is unhealthy (``max_spawn_failures`` consecutive
-  worker spawns fail) the supervisor **degrades to serial in-process
+  worker spawns fail) the supervisor **degrades to in-process
   execution** and finishes the batch without workers.
 
-Worker processes live in a :class:`WorkerPool`.  A supervisor that is
-not handed one creates an ephemeral pool and tears it down with the
-batch (the historical behaviour); long-running callers — the
-allocation server's warm pool — construct a pool once and pass it to
+Worker processes live in a :class:`WorkerPool` that outlives the
+batch: the engine (or the allocation server) builds one and hands it to
 every batch, so steady-state traffic reuses live workers instead of
-paying interpreter spawn and import cost per ``run_many``.
+paying interpreter spawn and import cost per ``run_many``.  A batch
+given no pool runs its attempts in-process, through the same retry,
+quarantine and expiry loop as pooled attempts.
 
 Results are delivered to the caller *as they arrive* via ``on_result``
 (the engine uses this to flush the persistent cache incrementally), so
-a ``KeyboardInterrupt`` mid-batch terminates the workers promptly and
-loses nothing that already completed.
+a ``KeyboardInterrupt`` mid-batch terminates the in-flight workers
+promptly and loses nothing that already completed.
 
 Determinism note: the allocator is deterministic, so a retried request
-returns a byte-identical summary no matter which worker (or the serial
-fallback) produced it — the chaos suite in ``tests/engine/test_chaos.py``
-asserts exactly that.
+returns a byte-identical summary no matter which worker (or the
+in-process fallback) produced it — the chaos suite in
+``tests/engine/test_chaos.py`` asserts exactly that.
 
 Fault-injection points (``engine/faults.py``) are threaded through both
 the worker loop and the supervisor so the recovery paths are provable;
@@ -44,6 +44,7 @@ with no plan installed they cost one ``is None`` check per request.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -65,17 +66,16 @@ class SupervisorConfig:
 
     Attributes:
         timeout: per-attempt wall-clock limit in seconds (``None`` — no
-            limit).  Enforced only for pooled execution; the serial
-            path cannot kill itself.  The clock starts once the worker
-            has signalled readiness, so interpreter spawn and import
-            cost never count against the request.
+            limit).  Enforced only for pooled execution; an in-process
+            attempt cannot kill itself.  The clock starts once the
+            worker has signalled readiness, so interpreter spawn and
+            import cost never count against the request.
         max_attempts: total attempts per request before it is
             quarantined (1 = no retries).
         backoff: base retry delay; attempt *n* is delayed
             ``backoff * 2**(n-1)`` seconds.
         max_spawn_failures: consecutive worker-spawn failures tolerated
-            before the supervisor degrades to serial in-process
-            execution.
+            before the supervisor degrades to in-process execution.
     """
 
     timeout: float | None = None
@@ -97,11 +97,12 @@ class ExperimentFailure:
         error_class: exception class name of the final attempt
             (``WorkerCrash`` / ``Timeout`` for non-exception fates).
         message: human-readable detail of the final attempt.
-        attempts: how many attempts were made (== the configured
-            budget when quarantined).
+        attempts: how many attempts ran (== the configured budget when
+            quarantined; a request whose deadline killed it mid-attempt
+            counts that attempt).
         worker_fate: how the last worker ended — ``crashed`` (process
             died), ``killed`` (timeout), ``exception`` (clean error
-            reply), or ``in-process`` (serial execution).
+            reply), ``in-process`` (no worker), or ``expired``.
         attempt_errors: one line per failed attempt, oldest first.
     """
 
@@ -142,19 +143,31 @@ def expect_summary(outcome: "AllocationSummary | ExperimentFailure"
 
 
 @dataclass
-class AttemptObservation:
-    """What the supervisor saw happen to one request's attempts.
+class RequestObservation:
+    """Provenance and timing of one request within a ``run_many`` call.
 
-    ``spans`` holds one ``attempt`` :class:`~repro.obs.span.Span` per
-    attempt (retries are siblings), each carrying ``spawn`` /
-    ``handshake`` children when the dispatch paid them and the
-    worker-side ``exec`` subtree rebased into the supervisor's
-    ``time.monotonic`` clock — the raw material the allocation server
-    stitches into a complete per-request trace.
+    Filled when the caller passes ``observations`` to :meth:`
+    ExperimentEngine.run_many` — the allocation server uses these to
+    stitch per-request traces and to stamp access-log lines.
+
+    Attributes:
+        source: where the answer came from — ``memo`` / ``cache`` /
+            ``executed`` / ``failed`` (``dedup`` is invisible here: a
+            duplicate key resolves to the same observation object).
+        attempts: execution attempts made (0 for hits).
+        spans: one ``attempt`` span per attempt (retries are siblings),
+            in the engine process's ``time.monotonic`` clock, plus a
+            ``cache_put`` span when the result was flushed to disk.
+            A pooled attempt carries ``spawn`` / ``handshake`` children
+            when its dispatch paid them; every attempt carries the
+            ``exec`` subtree of the execution itself.
     """
 
+    source: str = "executed"
     attempts: int = 0
     spans: list[Span] = field(default_factory=list)
+    #: seconds spent writing the summary to the persistent cache
+    cache_put_s: float = 0.0
 
     @property
     def retries(self) -> int:
@@ -162,28 +175,69 @@ class AttemptObservation:
 
 
 @dataclass
-class SupervisedStats:
-    """Fault accounting for one supervised batch."""
+class EngineStats:
+    """Where the answers of one engine's lifetime came from — plus the
+    fault ledger of everything that went wrong along the way.  The
+    supervisor counts one batch into a fresh instance, which the engine
+    folds into its lifetime ledger with :meth:`add`."""
 
+    requests: int = 0
+    #: ``run_many`` calls
+    batches: int = 0
+    memo_hits: int = 0
+    cache_hits: int = 0
+    executed: int = 0
+    deduplicated: int = 0
+    #: requests quarantined or expired as :class:`ExperimentFailure`
+    failed: int = 0
+    #: re-executions scheduled after a failed attempt
     retries: int = 0
+    #: attempts killed for exceeding the per-attempt timeout
     timeouts: int = 0
+    #: worker processes observed dead while holding a request
     worker_crashes: int = 0
+    #: requests that exhausted the retry budget
     quarantined: int = 0
-    #: requests dropped unexecuted (or killed mid-attempt) because
-    #: their end-to-end deadline passed — answered ``DeadlineExpired``
+    #: requests answered ``DeadlineExpired`` instead of executing (or
+    #: killed mid-attempt when their deadline passed)
     expired: int = 0
+    #: worker spawns that failed
     spawn_failures: int = 0
-    #: batches that degraded to serial in-process execution
+    #: batches that degraded to in-process execution
     fallback_serial: int = 0
-    #: worker processes spawned during this batch (0 in steady state
-    #: when a warm :class:`WorkerPool` served every dispatch)
+    #: worker processes spawned — bounded by the pool size (plus crash
+    #: replacements) over the pool's life
     worker_spawns: int = 0
     #: dispatches served by an already-live pool worker
     workers_reused: int = 0
-    #: per-request attempt traces, keyed by request key (ignored by
-    #: :meth:`MetricsRegistry.absorb_dataclass` — not a counter)
-    observations: dict[str, AttemptObservation] = field(
-        default_factory=dict)
+
+    def add(self, delta: "EngineStats") -> None:
+        """Fold another ledger (one batch's) into this one."""
+        for counter in dataclasses.fields(self):
+            setattr(self, counter.name, getattr(self, counter.name)
+                    + getattr(delta, counter.name))
+
+
+def _attempt(request: ExperimentRequest, number: int,
+             action: str | None
+             ) -> tuple[AllocationSummary | Exception, Span]:
+    """Run attempt *number* of *request* under an ``exec`` span; returns
+    the summary (or the exception it raised) and the span tree.  An
+    injected ``crash`` or ``raise`` *action* raises
+    :class:`InjectedFault` — a worker has already exited on ``crash``,
+    so only the in-process path sees it here."""
+    from .executor import execute_request
+
+    tracer = Tracer(clock=time.monotonic)
+    outcome: AllocationSummary | Exception
+    try:
+        with tracer.span("exec"):
+            if action in (CRASH, RAISE):
+                raise InjectedFault(f"injected {action} (attempt {number})")
+            outcome = execute_request(request, tracer=tracer)
+    except Exception as exc:  # crashes bypass this; see sentinel
+        outcome = exc
+    return outcome, tracer.roots[0]
 
 
 def worker_main(conn, plan: FaultPlan | None = None) -> None:
@@ -201,7 +255,7 @@ def worker_main(conn, plan: FaultPlan | None = None) -> None:
     time, so the supervisor can rebase the tree into its own timeline;
     anything else the supervisor learns from the process sentinel.
     """
-    from .executor import execute_request
+    from . import executor  # noqa: F401 - pay the import before "ready"
 
     try:
         conn.send(("ready",))
@@ -221,22 +275,13 @@ def worker_main(conn, plan: FaultPlan | None = None) -> None:
             os._exit(CRASH_EXIT_CODE)
         if action == HANG:
             time.sleep(plan.hang_seconds)
-        tracer = Tracer(clock=time.monotonic)
-        try:
-            with tracer.span("exec"):
-                if action == RAISE:
-                    raise InjectedFault(
-                        f"injected transient fault (attempt {attempt})")
-                summary = execute_request(request, tracer=tracer)
-        except Exception as exc:  # crashes bypass this; see sentinel
-            spans = span_to_payload(tracer.roots[0]) if tracer.roots \
-                else None
-            reply = ("err", key, type(exc).__name__, str(exc), spans,
-                     time.monotonic())
+        outcome, span = _attempt(request, attempt, action)
+        if isinstance(outcome, Exception):
+            reply = ("err", key, type(outcome).__name__, str(outcome),
+                     span_to_payload(span), time.monotonic())
         else:
-            spans = span_to_payload(tracer.roots[0]) if tracer.roots \
-                else None
-            reply = ("ok", key, summary, spans, time.monotonic())
+            reply = ("ok", key, outcome, span_to_payload(span),
+                     time.monotonic())
         try:
             conn.send(reply)
         except OSError:
@@ -249,7 +294,8 @@ class _Attempt:
     request: ExperimentRequest
     number: int          # 1-based
     ready_at: float = 0.0
-    #: the open ``attempt`` span, created at dispatch
+    #: the open ``attempt`` span, created when the attempt starts;
+    #: ``None`` while it has not run
     span: Span | None = None
 
 
@@ -406,25 +452,24 @@ class WorkerPool:
 
 
 class _Supervisor:
-    """The event loop: dispatch, watch, retry, quarantine, degrade."""
+    """The event loop: dispatch, watch, retry, quarantine, degrade.
 
-    def __init__(self, config: SupervisorConfig, workers: int,
+    Attempts run on leased *pool* workers, or in-process when *pool* is
+    ``None`` (requested, or after the pool degraded); either way a
+    failed attempt goes through the same retry/backoff/quarantine path.
+    """
+
+    def __init__(self, config: SupervisorConfig, pool: WorkerPool | None,
                  plan: FaultPlan | None, on_result,
-                 pool: WorkerPool | None = None,
-                 deadlines: dict[str, float] | None = None):
+                 deadlines: dict[str, float], stats: EngineStats,
+                 observations: dict[str, RequestObservation]):
         self.config = config
-        self.workers_target = max(1, workers)
+        self.pool = pool
         self.plan = plan
         self.on_result = on_result
-        self.deadlines = deadlines or {}
-        self.owns_pool = pool is None
-        # a borrowed pool executes even single-request batches on its
-        # (warm) workers; only a pool-less serial supervisor runs
-        # in-process by request
-        self.serial = pool is None and self.workers_target <= 1
-        self.pool = pool if pool is not None else (
-            None if self.serial else WorkerPool(self.workers_target, plan))
-        self.stats = SupervisedStats()
+        self.deadlines = deadlines
+        self.stats = stats
+        self.observations = observations
         self.results: dict[str, AllocationSummary | ExperimentFailure] = {}
         self.history: dict[str, list[str]] = {}
         self.runnable: deque[_Attempt] = deque()
@@ -432,7 +477,6 @@ class _Supervisor:
         self.busy: dict[_Worker, tuple[_Attempt, float | None]] = {}
         self.outstanding = 0
         self.delivered = 0
-        self.fallback = False
 
     # -- driving ---------------------------------------------------------------
 
@@ -442,20 +486,10 @@ class _Supervisor:
             self.runnable.append(_Attempt(key, request, 1))
             self.history[key] = []
         self.outstanding = len(items)
-        if self.serial:
-            # requested serial mode, not a degradation
-            self._drain_serial()
-            return self.results
-        assert self.pool is not None
         try:
             while self.outstanding:
-                now = time.monotonic()
-                self._promote(now)
-                self._fill(now)
-                if self.fallback:
-                    self._reclaim_busy()
-                    self._drain_serial()
-                    break
+                self._promote(time.monotonic())
+                self._fill()
                 self._wait()
         finally:
             self._shutdown()
@@ -469,8 +503,18 @@ class _Supervisor:
             for attempt in sorted(due, key=lambda a: a.ready_at):
                 self.runnable.append(attempt)
 
-    def _deadline_of(self, key: str) -> float | None:
-        return self.deadlines.get(key)
+    def _attempt_deadline(self, key: str,
+                          armed_at: float | None) -> float | None:
+        """When an attempt on *key* must end: the per-attempt timeout
+        counted from *armed_at* (``None`` while the worker is still
+        starting), capped by the request's end-to-end deadline, which
+        binds from dispatch regardless."""
+        request_end = self.deadlines.get(key)
+        if armed_at is None or self.config.timeout is None:
+            return request_end
+        attempt_end = armed_at + self.config.timeout
+        return attempt_end if request_end is None \
+            else min(attempt_end, request_end)
 
     def _expire(self, attempt: _Attempt) -> None:
         """Answer a request whose end-to-end deadline passed before (or
@@ -480,31 +524,40 @@ class _Supervisor:
         self.history[attempt.key].append(
             f"attempt {attempt.number}: DeadlineExpired: end-to-end "
             f"deadline passed [expired]")
+        # an attempt the deadline killed mid-run counts; one that never
+        # started does not
+        ran = attempt.span is not None
         self._deliver(attempt.key, ExperimentFailure(
             key=attempt.key, request=attempt.request,
             error_class="DeadlineExpired",
             message="end-to-end deadline passed before completion",
-            attempts=attempt.number - 1, worker_fate="expired",
+            attempts=attempt.number if ran else attempt.number - 1,
+            worker_fate="expired",
             attempt_errors=list(self.history[attempt.key])))
 
-    def _fill(self, now: float) -> None:
-        """Hand runnable attempts to pool workers (idle or spawned)."""
-        while self.runnable and not self.fallback:
-            deadline = self._deadline_of(self.runnable[0].key)
+    def _fill(self) -> None:
+        """Start runnable attempts on pool workers (idle or spawned),
+        or in-process when there is no pool."""
+        while self.runnable:
+            now = time.monotonic()
+            deadline = self.deadlines.get(self.runnable[0].key)
             if deadline is not None and now >= deadline:
                 self._expire(self.runnable.popleft())
                 continue
-            if len(self.busy) >= self.workers_target:
-                break
-            acquire_started = time.monotonic()
+            if self.pool is None:
+                self._run_in_process(self.runnable.popleft())
+                continue
             try:
                 worker = self.pool.acquire()
             except OSError:
                 self.stats.spawn_failures += 1
                 if self.pool.consecutive_spawn_failures \
                         >= self.config.max_spawn_failures:
-                    self.fallback = True
+                    # the pool is unhealthy: finish the batch in-process
                     self.stats.fallback_serial += 1
+                    self._reclaim_busy()
+                    self.pool = None
+                    continue
                 break
             if worker is None:  # other batches lease every worker
                 break
@@ -513,30 +566,22 @@ class _Supervisor:
                 self.stats.workers_reused += 1
             else:
                 self.stats.worker_spawns += 1
-            self._dispatch(worker, self.runnable.popleft(),
-                           time.monotonic(), acquire_started)
+            self._dispatch(worker, self.runnable.popleft(), now)
 
     def _dispatch(self, worker: _Worker, attempt: _Attempt,
-                  now: float, acquire_started: float | None = None
-                  ) -> None:
-        # a freshly spawned worker is still importing; its deadline is
-        # armed when the ready announcement arrives (_on_message) — but
-        # an end-to-end request deadline binds from dispatch regardless
-        deadline = (now + self.config.timeout
-                    if self.config.timeout is not None and worker.ready
-                    else None)
-        key_deadline = self._deadline_of(attempt.key)
-        if key_deadline is not None:
-            deadline = key_deadline if deadline is None \
-                else min(deadline, key_deadline)
+                  acquire_started: float) -> None:
+        now = time.monotonic()
+        # a freshly spawned worker is still importing; its attempt
+        # timeout is armed when the ready announcement arrives
+        # (_on_message)
+        deadline = self._attempt_deadline(
+            attempt.key, now if worker.ready else None)
         span = Span("attempt", {"number": attempt.number},
-                    start=acquire_started if acquire_started is not None
-                    else now)
+                    start=acquire_started)
         if not worker.ready:
-            if acquire_started is not None:
-                # acquire() paid an interpreter spawn for this dispatch
-                span.children.append(
-                    Span("spawn", start=acquire_started, end=now))
+            # acquire() paid an interpreter spawn for this dispatch
+            span.children.append(
+                Span("spawn", start=acquire_started, end=now))
             # closed when the worker's ready announcement arrives
             span.children.append(Span("handshake", start=now, end=now))
         attempt.span = span
@@ -546,26 +591,43 @@ class _Supervisor:
         except OSError:
             self._on_crash(worker)
 
+    def _run_in_process(self, attempt: _Attempt) -> None:
+        """Run one attempt in this process.  It cannot be timed out, so
+        injected ``hang`` faults are ignored; ``crash``/``raise``
+        faults surface as :class:`InjectedFault`."""
+        action = self.plan.worker_action(attempt.key, attempt.number) \
+            if self.plan is not None else None
+        attempt.span = Span("attempt", {"number": attempt.number},
+                            start=time.monotonic())
+        outcome, exec_span = _attempt(attempt.request, attempt.number,
+                                      action)
+        if isinstance(outcome, Exception):
+            self._close_attempt(attempt, time.monotonic(), "exception",
+                                exec_span)
+            self._failed_attempt(attempt, type(outcome).__name__,
+                                 str(outcome), fate="in-process")
+        else:
+            self._close_attempt(attempt, time.monotonic(), "ok", exec_span)
+            self._deliver(attempt.key, outcome)
+
     def _close_attempt(self, attempt: _Attempt, now: float, outcome: str,
-                       exec_payload: dict | None = None,
+                       exec_span: Span | None = None,
                        worker_clock: float | None = None) -> None:
         """Finish the attempt's span: stamp the outcome, graft the
-        rebased worker-side ``exec`` subtree, record the observation."""
+        ``exec`` subtree (rebased from *worker_clock* when it ran in a
+        worker), record the observation."""
         span = attempt.span
-        if span is None:  # pragma: no cover - dispatch always sets one
-            return
         span.end = now
         span.attrs["outcome"] = outcome
-        if exec_payload is not None:
-            exec_span = span_from_payload(exec_payload)
+        if exec_span is not None:
             if worker_clock is not None:
                 # align the worker's send-time with our receive-time;
                 # the residual transport delay is clamped away below
                 shift_span(exec_span, now - worker_clock)
             clamp_span(exec_span, span.start, span.end)
             span.children.append(exec_span)
-        observation = self.stats.observations.setdefault(
-            attempt.key, AttemptObservation())
+        observation = self.observations.setdefault(
+            attempt.key, RequestObservation())
         observation.attempts += 1
         observation.spans.append(span)
 
@@ -612,28 +674,21 @@ class _Supervisor:
         if msg[0] == "ready":
             # spawn + import finished: the attempt deadline starts now
             worker.ready = True
-            if attempt.span is not None:
-                handshake = attempt.span.child("handshake")
-                if handshake is not None:
-                    handshake.end = now
-            deadline = (now + self.config.timeout
-                        if self.config.timeout is not None else None)
-            key_deadline = self._deadline_of(attempt.key)
-            if key_deadline is not None:
-                deadline = key_deadline if deadline is None \
-                    else min(deadline, key_deadline)
-            self.busy[worker] = (attempt, deadline)
+            handshake = attempt.span.child("handshake")
+            if handshake is not None:
+                handshake.end = now
+            self.busy[worker] = (attempt,
+                                 self._attempt_deadline(attempt.key, now))
             return
         self.pool.release(worker)
         if msg[0] == "ok":
             self._close_attempt(attempt, now, "ok",
-                                exec_payload=msg[3], worker_clock=msg[4])
+                                span_from_payload(msg[3]), msg[4])
             self._deliver(msg[1], msg[2])
         else:
             _, _key, error_class, message, exec_payload, clock = msg
             self._close_attempt(attempt, now, "exception",
-                                exec_payload=exec_payload,
-                                worker_clock=clock)
+                                span_from_payload(exec_payload), clock)
             self._failed_attempt(attempt, error_class, message,
                                  fate="exception")
 
@@ -653,8 +708,7 @@ class _Supervisor:
                 worker.close()
                 self.pool.discard(worker)
                 self._close_attempt(attempt, time.monotonic(), "ok",
-                                    exec_payload=msg[3],
-                                    worker_clock=msg[4])
+                                    span_from_payload(msg[3]), msg[4])
                 self._deliver(msg[1], msg[2])
                 return
             break
@@ -677,7 +731,7 @@ class _Supervisor:
         worker.kill()
         self.pool.discard(worker)
         now = time.monotonic()
-        key_deadline = self._deadline_of(attempt.key)
+        key_deadline = self.deadlines.get(attempt.key)
         if key_deadline is not None and now >= key_deadline:
             # the *request's* deadline fired, not the attempt budget:
             # kill the worker but answer expired, never retry
@@ -713,6 +767,14 @@ class _Supervisor:
         self.results[key] = outcome
         self.outstanding -= 1
         self.delivered += 1
+        observation = self.observations.setdefault(key,
+                                                   RequestObservation())
+        if isinstance(outcome, AllocationSummary):
+            self.stats.executed += 1
+            observation.source = "executed"
+        else:
+            self.stats.failed += 1
+            observation.source = "failed"
         if self.on_result is not None:
             self.on_result(key, outcome)
         if self.plan is not None \
@@ -720,118 +782,45 @@ class _Supervisor:
                 and self.delivered >= self.plan.interrupt_after:
             raise KeyboardInterrupt
 
-    # -- degraded / serial path ------------------------------------------------
+    # -- teardown --------------------------------------------------------------
 
     def _reclaim_busy(self) -> None:
-        """Take in-flight requests back (uncharged) before going serial."""
+        """Take in-flight requests back (uncharged) before going
+        in-process."""
         for worker, (attempt, _) in list(self.busy.items()):
             worker.kill()
             self.pool.discard(worker)
+            attempt.span = None
             self.runnable.appendleft(attempt)
         self.busy.clear()
 
-    def _drain_serial(self) -> None:
-        """Finish every unresolved request in-process.
-
-        Timeouts cannot be enforced here (``hang`` faults are ignored);
-        ``crash``/``raise`` faults surface as transient exceptions so
-        retry and quarantine semantics still hold.
-        """
-        from .executor import execute_request
-
-        pending = list(self.runnable) \
-            + sorted(self.delayed, key=lambda a: a.ready_at)
-        self.runnable.clear()
-        self.delayed.clear()
-        for attempt in pending:
-            deadline = self._deadline_of(attempt.key)
-            if deadline is not None and time.monotonic() >= deadline:
-                self._expire(attempt)
-                continue
-            number = attempt.number
-            while True:
-                action = self.plan.worker_action(attempt.key, number) \
-                    if self.plan is not None else None
-                tracer = Tracer(clock=time.monotonic)
-                try:
-                    with tracer.span("attempt", number=number):
-                        if action in (CRASH, RAISE):
-                            raise InjectedFault(
-                                f"injected {action} (attempt {number})")
-                        with tracer.span("exec"):
-                            summary = execute_request(attempt.request,
-                                                      tracer=tracer)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    self._record_serial_attempt(attempt.key, tracer,
-                                                "exception")
-                    error_class, message = type(exc).__name__, str(exc)
-                    self.history[attempt.key].append(
-                        f"attempt {number}: {error_class}: {message} "
-                        f"[in-process]")
-                    if number >= self.config.max_attempts:
-                        self.stats.quarantined += 1
-                        self._deliver(attempt.key, ExperimentFailure(
-                            key=attempt.key, request=attempt.request,
-                            error_class=error_class, message=message,
-                            attempts=number, worker_fate="in-process",
-                            attempt_errors=list(
-                                self.history[attempt.key])))
-                        break
-                    self.stats.retries += 1
-                    if self.config.backoff:
-                        time.sleep(self.config.backoff
-                                   * (2 ** (number - 1)))
-                    number += 1
-                else:
-                    self._record_serial_attempt(attempt.key, tracer, "ok")
-                    self._deliver(attempt.key, summary)
-                    break
-
-    def _record_serial_attempt(self, key: str, tracer: Tracer,
-                               outcome: str) -> None:
-        """Record an in-process attempt span (same shape as pooled
-        attempts, minus spawn/handshake children)."""
-        if not tracer.roots:  # pragma: no cover - span always opens
-            return
-        span = tracer.roots[0]
-        span.attrs["outcome"] = outcome
-        observation = self.stats.observations.setdefault(
-            key, AttemptObservation())
-        observation.attempts += 1
-        observation.spans.append(span)
-
     def _shutdown(self) -> None:
         """Kill in-flight workers promptly (also the KeyboardInterrupt
-        path); an owned pool dies with the batch, a borrowed one keeps
-        its idle workers warm for the next batch."""
+        path); idle workers stay in the pool, warm for the next batch."""
         for worker in list(self.busy):
             worker.kill()
             self.pool.discard(worker)
         self.busy.clear()
-        if self.owns_pool and self.pool is not None:
-            self.pool.close()
 
 
 def run_supervised(items: list[tuple[str, ExperimentRequest]],
-                   workers: int,
+                   pool: WorkerPool | None = None,
                    config: SupervisorConfig | None = None,
                    plan: FaultPlan | None = None,
                    on_result=None,
-                   pool: WorkerPool | None = None,
                    deadlines: dict[str, float] | None = None,
-                   ) -> tuple[dict[str, AllocationSummary
-                                   | ExperimentFailure], SupervisedStats]:
+                   stats: EngineStats | None = None,
+                   observations: dict[str, RequestObservation]
+                   | None = None,
+                   ) -> dict[str, AllocationSummary | ExperimentFailure]:
     """Execute *items* (``(key, request)`` pairs, unique keys) under
-    supervision; returns per-key outcomes plus the fault accounting.
+    supervision; returns per-key outcomes.
 
-    ``workers <= 1`` runs serially in-process (no worker processes, no
-    timeout enforcement) with the same retry/quarantine semantics —
-    unless *pool* is given, in which case even one-request batches run
-    on the pool's (warm) workers and the pool survives the batch.
-    ``on_result(key, outcome)`` fires as each outcome lands — before
-    the batch finishes, and before any ``KeyboardInterrupt`` unwinds.
+    Attempts run on *pool*'s workers, which outlive the batch; with no
+    pool they run in-process (no timeout enforcement) with the same
+    retry/quarantine semantics.  ``on_result(key, outcome)`` fires as
+    each outcome lands — before the batch finishes, and before any
+    ``KeyboardInterrupt`` unwinds.
 
     *deadlines* maps request keys to absolute ``time.monotonic``
     deadlines (this process's clock).  A request whose deadline passes
@@ -839,9 +828,13 @@ def run_supervised(items: list[tuple[str, ExperimentRequest]],
     one whose deadline fires mid-attempt has its worker killed and is
     answered ``DeadlineExpired`` with no retry — the requester has
     already stopped waiting, so more attempts only burn the pool.
+
+    The batch's fault accounting is counted into *stats* as it happens,
+    and one :class:`RequestObservation` per key (attempt count and
+    ``attempt`` spans, ``source`` set on delivery) into *observations*.
     """
-    supervisor = _Supervisor(config or SupervisorConfig(), workers,
-                             plan, on_result, pool=pool,
-                             deadlines=deadlines)
-    outcomes = supervisor.run(items)
-    return outcomes, supervisor.stats
+    supervisor = _Supervisor(
+        config or SupervisorConfig(), pool, plan, on_result,
+        deadlines or {}, stats if stats is not None else EngineStats(),
+        observations if observations is not None else {})
+    return supervisor.run(items)

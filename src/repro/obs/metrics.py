@@ -2,10 +2,10 @@
 
 The registry absorbs the flat stat bags that grew around the allocator
 (:class:`~repro.regalloc.allocator.AllocationStats`, the engine's
-:class:`~repro.engine.engine.EngineStats` and per-batch fan-out stats)
-into one namespace of typed metrics, and renders them with the one
-formatter shared by the CLI ``allocate`` stats line, trace summaries
-and the docs tables — no more hand-built f-strings per call site.
+:class:`~repro.engine.supervisor.EngineStats`) into one namespace of
+typed metrics, and renders them with the one formatter shared by the
+CLI ``allocate`` stats line, trace summaries and the docs tables — no
+more hand-built f-strings per call site.
 
 Zero dependencies.  A histogram keeps count/total/min/max *and* a
 fixed ladder of log-scaled buckets, so latency quantiles (p50/p90/p99)
@@ -124,6 +124,15 @@ class Histogram:
             if seen > rank:
                 return min(max(bucket_upper(index), self.min), self.max)
         return self.max  # pragma: no cover - rank < count by clamping
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold every observation of *other* into this histogram."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        if other._buckets is not None:
+            self.merge_counts(other._buckets)
 
     def merge_counts(self, counts: list[int]) -> None:
         """Fold a bucket-count array (another histogram's ``buckets``

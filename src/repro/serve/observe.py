@@ -56,7 +56,7 @@ class RequestRecord:
     op: str = "?"
     client_id: Any = None
     #: the v2 envelope's stable client identity (fair admission meters
-    #: by it); ``None`` for v1 clients
+    #: by it); ``None`` when the envelope declares none
     client: str | None = None
     key: str | None = None
     #: the allocation strategy of an engine request (``iterated`` /

@@ -4,7 +4,7 @@ Every message — request and response — is a single JSON object on its
 own line.  Requests carry an **envelope** identifying the protocol
 version, a client-chosen correlation id, and an operation::
 
-    {"v": 1, "id": "r1", "op": "allocate", "request": {...}}
+    {"v": 2, "id": "r1", "op": "allocate", "request": {...}}
 
 Operations:
 
@@ -42,8 +42,8 @@ them: ``overload``/``draining``/``unavailable`` are safe to retry
 (allocation requests are idempotent — content-hashed and cached);
 ``bad_request``/``failed``/``expired``/``internal`` are not.
 
-**Protocol v2** adds three optional envelope/response fields (v1
-envelopes remain accepted — the new fields simply default off):
+**Protocol v2** is the only accepted version.  Beyond ``v``/``id``/
+``op`` it carries three optional envelope/response fields:
 
 * ``client`` — a stable client identity string; the router's
   fair-admission token buckets meter traffic per ``client`` so one
@@ -81,9 +81,8 @@ from ..remat import RenumberMode
 #: bump when the envelope or an operation's shape changes incompatibly
 PROTOCOL_VERSION = 2
 
-#: envelope versions this server still accepts (v2 only *adds*
-#: optional fields, so v1 clients keep working unchanged)
-ACCEPTED_VERSIONS = (1, 2)
+#: envelope versions this server accepts
+ACCEPTED_VERSIONS = (PROTOCOL_VERSION,)
 
 #: operations a client may put in the envelope
 OPERATIONS = ("allocate", "trace", "ping", "metrics", "debug",
@@ -153,7 +152,7 @@ def check_envelope(obj: dict) -> tuple[Any, str]:
 def envelope_meta(obj: dict) -> tuple[str | None, float | None]:
     """The v2 envelope extras: ``(client identity, deadline_s)``.
 
-    Both are optional; a v1 envelope simply has neither.  Raises
+    Both are optional; an envelope may carry neither.  Raises
     :class:`ProtocolError` on malformed values.
     """
     client = obj.get("client")

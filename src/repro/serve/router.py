@@ -528,7 +528,7 @@ class ClusterRouter:
                 retry_after=0.1)
 
         # fair admission: one token per engine request, metered by the
-        # declared client identity (peer address for v1 clients)
+        # declared client identity (peer address when none is declared)
         bucket_key = client if client is not None else peer_id
         bucket = self.buckets.get(bucket_key)
         if bucket is None:

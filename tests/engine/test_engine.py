@@ -238,30 +238,38 @@ class TestBatchStats:
     def test_each_run_many_appends_a_batch(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         engine.run_many([req(), req(), req(kernel=ADAPT)])
+        assert engine.stats.batches == 1
+        assert engine.stats.requests == 3
+        assert engine.stats.deduplicated == 1
+        assert engine.stats.executed == 2
         engine.run_many([req()])
-        assert len(engine.batches) == 2
-        first, second = engine.batches
-        assert first.requests == 3
-        assert first.deduplicated == 1
-        assert first.executed == 2
-        assert first.workers == 1
-        assert second.requests == 1
-        assert second.memo_hits == 1
-        assert second.executed == 0
-        assert second.workers == 0
+        assert engine.stats.batches == 2
+        assert engine.stats.requests == 4
+        assert engine.stats.memo_hits == 1
+        assert engine.stats.executed == 2
+        histograms = engine.metrics().histograms()
+        assert histograms["engine.batch_size"]["count"] == 2
+        assert histograms["engine.batch_size"]["total"] == 4
+        # the in-process batch executed on one "worker"; the all-hit
+        # batch fanned out to none
+        assert histograms["engine.fanout"]["count"] == 1
+        assert histograms["engine.fanout"]["max"] == 1
 
     def test_cache_hits_counted_per_batch(self, tmp_path):
         warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         warm.run(req())
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         engine.run(req())
-        assert engine.batches[-1].cache_hits == 1
-        assert engine.batches[-1].executed == 0
+        assert engine.stats.cache_hits == 1
+        assert engine.stats.executed == 0
+        assert "engine.fanout" not in engine.metrics().histograms()
 
     def test_parallel_fanout_recorded(self, tmp_path):
         engine = ExperimentEngine(jobs=2, cache_dir=tmp_path)
         engine.run_many([req(), req(kernel=ADAPT)])
-        assert engine.batches[-1].workers == 2
+        fanout = engine.metrics().histograms()["engine.fanout"]
+        assert fanout["count"] == 1
+        assert fanout["max"] == 2
 
     def test_metrics_registry_view(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)

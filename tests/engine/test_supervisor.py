@@ -1,7 +1,9 @@
 """The supervised executor: retries, timeouts, quarantine, fallback."""
 
+import gc
 import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -107,6 +109,45 @@ class TestQuarantine:
         assert not isinstance(out[2], ExperimentFailure)
 
 
+class TestExecutionPaths:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pooled"])
+    def test_paths_account_alike(self, jobs):
+        """In-process and pooled attempts share one retry loop: the
+        same fault plan yields the same ledger."""
+        reqs = requests(4)
+        transient, poison = request_key(reqs[1]), request_key(reqs[3])
+        plan = FaultPlan(worker_faults={
+            (transient, 1): "raise",
+            **{(poison, n): "raise" for n in (1, 2, 3)}})
+        e = engine(jobs, plan, max_attempts=3)
+        out = e.run_many(reqs)
+        assert (e.stats.retries, e.stats.quarantined, e.stats.failed,
+                e.stats.executed) == (1 + 2, 1, 1, 3)
+        failure = out[3]
+        assert isinstance(failure, ExperimentFailure)
+        assert failure.error_class == "InjectedFault"
+        assert failure.attempts == 3 == len(failure.attempt_errors)
+        assert all(not isinstance(o, ExperimentFailure) for o in out[:3])
+
+
+class TestDeadline:
+    def test_expiry_mid_attempt_counts_the_killed_attempt(self):
+        reqs = requests(3)
+        key = request_key(reqs[2])
+        plan = FaultPlan(worker_faults={(key, 1): "hang"},
+                         hang_seconds=30.0)
+        e = engine(2, plan)
+        e.run_many(reqs[:2])  # warm both workers: no spawn in the way
+        observations = {}
+        failure, = e.run_many([reqs[2]], observations=observations,
+                              deadlines={key: time.monotonic() + 0.5})
+        assert isinstance(failure, ExperimentFailure)
+        assert failure.error_class == "DeadlineExpired"
+        assert failure.attempts == 1 == observations[key].attempts
+        assert len(failure.attempt_errors) == 1
+        assert e.stats.expired == 1 and e.stats.retries == 0
+
+
 class TestTimeout:
     def test_hung_worker_is_killed_and_retried(self):
         reqs = requests(3)
@@ -151,7 +192,11 @@ class TestInterrupt:
             e.run_many(reqs)
         # completed results were flushed to the cache before the unwind
         assert len(e.cache) >= 4
-        # the supervisor's finally-block reaped every worker
+        # the supervisor's finally-block reaped every in-flight worker;
+        # the idle ones belong to the engine's pool and die with it
+        assert e.pool.leased == 0
+        del e
+        gc.collect()
         assert multiprocessing.active_children() == []
         # a rerun serves the flushed results as disk hits
         e2 = ExperimentEngine(jobs=1, cache_dir=tmp_path)

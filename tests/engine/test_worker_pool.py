@@ -1,11 +1,12 @@
 """The persistent :class:`WorkerPool`: warm reuse across batches."""
 
 import concurrent.futures
+import gc
 import pickle
 
 import pytest
 
-from repro.engine import (ExperimentEngine, ExperimentFailure,
+from repro.engine import (EngineStats, ExperimentEngine, ExperimentFailure,
                           ExperimentRequest, WorkerPool, request_key,
                           run_supervised)
 from repro.ir import function_to_text
@@ -35,11 +36,11 @@ def pool():
 
 class TestWarmReuse:
     def test_pool_survives_batches_and_spawns_once(self, pool):
-        _, stats1 = run_supervised(items(requests(2)), 1, pool=pool)
+        stats1, stats2 = EngineStats(), EngineStats()
+        run_supervised(items(requests(2)), pool, stats=stats1)
         assert pool.stats.spawned == 1
         assert stats1.worker_spawns == 1
-        _, stats2 = run_supervised(items(requests(2, base=2)), 1,
-                                   pool=pool)
+        run_supervised(items(requests(2, base=2)), pool, stats=stats2)
         # steady state: the second batch reuses the live worker
         assert pool.stats.spawned == 1
         assert stats2.worker_spawns == 0
@@ -57,19 +58,48 @@ class TestWarmReuse:
         # even single-request batches execute on the (warm) pool
         assert engine.stats.worker_spawns == 1
         assert engine.stats.workers_reused >= 1
-        assert engine.batches[0].workers == 1
+        fanout = engine.metrics().histograms()["engine.fanout"]
+        assert fanout["count"] == 2 and fanout["max"] == 1
 
     def test_dead_idle_worker_is_reaped_and_replaced(self, pool):
-        run_supervised(items(requests(1)), 1, pool=pool)
+        run_supervised(items(requests(1)), pool)
         worker = pool.idle[0]
         worker.process.terminate()
         worker.process.join(timeout=10)
-        out, stats = run_supervised(items(requests(1, base=1)), 1,
-                                    pool=pool)
+        stats = EngineStats()
+        out = run_supervised(items(requests(1, base=1)), pool, stats=stats)
         assert all(not isinstance(o, ExperimentFailure)
                    for o in out.values())
         assert pool.stats.spawned == 2
         assert stats.worker_spawns == 1
+
+
+class TestEngineOwnedPool:
+    def test_one_pool_serves_every_batch(self):
+        engine = ExperimentEngine(jobs=2, use_cache=False)
+        for base in (0, 2, 4):
+            engine.run_many(requests(2, base=base))
+        assert engine.stats.executed == 6
+        # the pool outlives each batch: later batches reuse its workers
+        assert engine.stats.worker_spawns <= 2
+        assert engine.pool.stats.spawned <= 2
+
+    def test_collected_engine_closes_its_pool(self):
+        engine = ExperimentEngine(jobs=2, use_cache=False)
+        engine.run_many(requests(2))
+        workers = list(engine.pool.idle)
+        assert workers and all(w.process.is_alive() for w in workers)
+        del engine
+        gc.collect()
+        assert not any(w.process.is_alive() for w in workers)
+
+    def test_caller_pool_stays_open(self, pool):
+        engine = ExperimentEngine(jobs=2, use_cache=False, pool=pool)
+        engine.run_many(requests(1))
+        del engine
+        gc.collect()
+        assert not pool.closed
+        assert pool.idle[0].process.is_alive()
 
 
 class TestConcurrentBatches:
@@ -90,12 +120,12 @@ class TestConcurrentBatches:
         assert engine.stats.executed == 6
         assert engine.stats.worker_spawns + engine.stats.workers_reused \
             == 6
-        assert len(engine.batches) == 2
+        assert engine.stats.batches == 2
 
 
 class TestLifecycle:
     def test_close_kills_idle_workers(self, pool):
-        run_supervised(items(requests(1)), 1, pool=pool)
+        run_supervised(items(requests(1)), pool)
         worker = pool.idle[0]
         assert worker.process.is_alive()
         pool.close()

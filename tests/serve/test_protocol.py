@@ -21,7 +21,7 @@ LOOP_TEXT = function_to_text(single_loop())
 
 class TestEnvelope:
     def test_round_trip(self):
-        obj = {"v": 1, "id": "r1", "op": "ping"}
+        obj = {"v": 2, "id": "r1", "op": "ping"}
         assert decode_line(encode_line(obj)) == obj
         assert check_envelope(obj) == ("r1", "ping")
 
@@ -31,21 +31,23 @@ class TestEnvelope:
         assert exc.value.kind == "bad_request"
 
     def test_rejects_wrong_version(self):
-        with pytest.raises(ProtocolError):
-            check_envelope({"v": 99, "op": "ping"})
+        for version in (99, 1):
+            with pytest.raises(ProtocolError) as exc:
+                check_envelope({"v": version, "op": "ping"})
+            assert exc.value.kind == "bad_request"
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ProtocolError):
-            check_envelope({"v": 1, "op": "explode"})
+            check_envelope({"v": 2, "op": "explode"})
 
-    def test_v2_envelopes_accepted_alongside_v1(self):
+    def test_v2_envelopes_accepted(self):
         assert check_envelope({"v": 2, "id": "r", "op": "ping"}) \
             == ("r", "ping")
 
 
 class TestV2Extras:
-    def test_meta_defaults_off_for_v1_envelopes(self):
-        assert envelope_meta({"v": 1, "id": "r", "op": "ping"}) \
+    def test_meta_defaults_off_without_extras(self):
+        assert envelope_meta({"v": 2, "id": "r", "op": "ping"}) \
             == (None, None)
 
     def test_meta_extracts_client_and_deadline(self):

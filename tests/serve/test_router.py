@@ -198,13 +198,13 @@ class TestForwarding:
         assert error["retry_after"] > 0
         assert router.metrics.counters()["router.throttled"] == 1
 
-    def test_v1_clients_are_metered_by_peer_address(self):
+    def test_anonymous_clients_are_metered_by_peer_address(self):
         with ServerThread(serial_engine()) as srv:
             router = ClusterRouter(
                 {"b0": ("127.0.0.1", srv.port)},
                 RouterConfig(bucket_rate=0.001, bucket_burst=1.0))
             router.backends["b0"].healthy = True
-            line = protocol.encode_line({"v": 1, "id": "t",
+            line = protocol.encode_line({"v": 2, "id": "t",
                                          "op": "allocate",
                                          "request": spec(0)})
             assert self.run_route(router, line)["ok"] is True

@@ -28,7 +28,7 @@ def spec(n: int = 0) -> dict:
 
 
 def line(op: str, n: int = 0, request_id: str = "t") -> bytes:
-    return encode_line({"v": 1, "id": request_id, "op": op,
+    return encode_line({"v": 2, "id": request_id, "op": op,
                         "request": spec(n)})
 
 
@@ -101,11 +101,11 @@ class TestAdmission:
             bad_json = await server._respond(b"{nope\n")
             assert bad_json["error"]["kind"] == "bad_request"
             bad_op = await server._respond(
-                encode_line({"v": 1, "id": "x", "op": "explode"}))
+                encode_line({"v": 2, "id": "x", "op": "explode"}))
             assert bad_op["id"] == "x"
             assert bad_op["error"]["kind"] == "bad_request"
             bad_request = await server._respond(
-                encode_line({"v": 1, "id": "y", "op": "allocate",
+                encode_line({"v": 2, "id": "y", "op": "allocate",
                              "request": {"kernel": "no-such"}}))
             assert bad_request["error"]["kind"] == "bad_request"
 
