@@ -213,16 +213,16 @@ def _allocate_baseline(fn):
     """The pre-incremental configuration: from-scratch analyses every
     round plus the seed color phases (monkeypatched in for the timing
     run, restored immediately after)."""
-    import repro.regalloc.allocator as allocator_mod
+    import repro.regalloc.strategy as strategy_mod
 
-    saved = (allocator_mod.simplify, allocator_mod.select)
-    allocator_mod.simplify = ref_simplify
-    allocator_mod.select = ref_select
+    saved = (strategy_mod.simplify, strategy_mod.select)
+    strategy_mod.simplify = ref_simplify
+    strategy_mod.select = ref_select
     try:
         return allocate(fn, machine=BENCH_MACHINE, mode=RenumberMode.REMAT,
                         incremental=False)
     finally:
-        allocator_mod.simplify, allocator_mod.select = saved
+        strategy_mod.simplify, strategy_mod.select = saved
 
 
 def _e2e_race(config, equivalence: bool):

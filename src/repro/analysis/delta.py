@@ -88,20 +88,15 @@ class LivenessUpdateStats:
     worklist_pops: int = 0
 
 
-def liveness_sets_equal(a, b) -> bool:
-    """Whether two :class:`LivenessInfo` agree on every per-block set.
+def diff_liveness(a, b) -> list[str]:
+    """Human-readable mismatches between two liveness results (empty
+    when they agree); the ``verify_incremental`` cross-check.
 
     Compared at the ``set[Reg]`` level, not as raw bitsets: a patched
     liveness appends spill temps to its existing :class:`RegIndex`
     while a from-scratch recompute builds a freshly sorted one, so
     identical facts may occupy permuted bit positions.
     """
-    return not diff_liveness(a, b)
-
-
-def diff_liveness(a, b) -> list[str]:
-    """Human-readable mismatches between two liveness results (empty
-    when they agree); the ``verify_incremental`` cross-check."""
     problems: list[str] = []
     labels_a = set(a._in)
     labels_b = set(b._in)

@@ -102,9 +102,3 @@ def compute_loops(fn: Function,
                     best = other
         loop.parent = best.header if best is not None else None
     return LoopInfo(loops=loops, depth=depth)
-
-
-def instruction_depths(fn: Function,
-                       loop_info: LoopInfo) -> dict[str, int]:
-    """Map block label -> loop nesting depth (a convenience alias)."""
-    return dict(loop_info.depth)

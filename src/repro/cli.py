@@ -52,7 +52,8 @@ from .ir import Function, function_to_text, parse_function
 from .machine import machine_with
 from .obs import (ALLOCATE_LINE_KEYS, Tracer, load_trace,
                   metrics_from_allocation, parse_trace, render_diff,
-                  render_summary, render_tree, trace_to_text, write_trace)
+                  render_summary, render_tree, trace_meta, trace_to_text,
+                  write_trace)
 from .regalloc import ALLOCATOR_NAMES, allocate
 from .remat import RenumberMode
 
@@ -147,15 +148,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_meta(result, source: str) -> dict:
-    """The identity block of a trace's ``meta`` line."""
-    machine = result.machine
-    return {"function": result.function.name, "mode": result.mode.value,
-            "allocator": result.allocator, "machine": machine.name,
-            "int_regs": machine.int_regs,
-            "float_regs": machine.float_regs, "source": source}
-
-
 def cmd_allocate(args: argparse.Namespace) -> int:
     fn = _load(args.file)
     _maybe_optimize(fn, args)
@@ -168,7 +160,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     print("# " + registry.render_line(ALLOCATE_LINE_KEYS), file=sys.stderr)
     if args.trace:
         write_trace(args.trace, result.trace,
-                    _trace_meta(result, args.file), registry)
+                    trace_meta(result, args.file), registry)
         print(f"# trace written to {args.trace}", file=sys.stderr)
     return 0
 
@@ -281,7 +273,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         result = allocate(fn, machine=_machine(args),
                           mode=RenumberMode(args.mode),
                           allocator=args.allocator, tracer=tracer)
-        text = trace_to_text(result.trace, _trace_meta(result, source),
+        text = trace_to_text(result.trace, trace_meta(result, source),
                              metrics_from_allocation(result))
     doc = parse_trace(text)
     if args.out:

@@ -7,6 +7,8 @@ this module and receive only the (picklable) request.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..interp import run_function
 from ..ir import parse_function
 from ..obs import NULL_TRACER
@@ -14,6 +16,22 @@ from ..regalloc import allocate
 from ..regalloc.splitting import SCHEMES
 from .request import (AllocationSummary, ExperimentRequest, TimingReport,
                       TimingSample, request_key)
+
+
+def allocate_options(request: ExperimentRequest) -> dict[str, Any]:
+    """The :func:`~repro.regalloc.allocate` keyword arguments a request
+    asks for: its machine, allocator and heuristic flags, and its mode
+    — or, when it names a Section 6 ``scheme``, that scheme's mode and
+    pre-split hook."""
+    mode, pre_split = request.mode, None
+    if request.scheme is not None:
+        scheme = SCHEMES[request.scheme]
+        mode, pre_split = scheme.mode, scheme.pre_split
+    return {"machine": request.machine, "mode": mode,
+            "biased": request.biased, "lookahead": request.lookahead,
+            "coalesce_splits": request.coalesce_splits,
+            "optimistic": request.optimistic, "pre_split": pre_split,
+            "allocator": request.allocator}
 
 
 def execute_request(request: ExperimentRequest,
@@ -35,24 +53,13 @@ def execute_request(request: ExperimentRequest,
 
         with tracer.span("optimize"):
             optimize(fn)
-    mode = request.mode
-    pre_split = None
-    if request.scheme is not None:
-        scheme = SCHEMES[request.scheme]
-        mode = scheme.mode
-        pre_split = scheme.pre_split
+    options = allocate_options(request)
 
     samples: list[TimingSample] = []
     result = None
     with tracer.span("allocate", repeats=max(1, request.repeats)):
         for _ in range(max(1, request.repeats)):
-            result = allocate(fn, machine=request.machine, mode=mode,
-                              biased=request.biased,
-                              lookahead=request.lookahead,
-                              coalesce_splits=request.coalesce_splits,
-                              optimistic=request.optimistic,
-                              pre_split=pre_split,
-                              allocator=request.allocator)
+            result = allocate(fn, **options)
             samples.append(TimingSample(
                 cfa=result.cfa_time, total=result.total_time,
                 rounds=[{"renum": t.renumber, "build": t.build,
@@ -75,7 +82,7 @@ def execute_request(request: ExperimentRequest,
         machine_name=request.machine.name,
         int_regs=request.machine.int_regs,
         float_regs=request.machine.float_regs,
-        mode=mode,
+        mode=options["mode"],
         stats=result.stats,
         allocator=request.allocator,
         rounds=result.rounds,

@@ -18,7 +18,8 @@ from .events import (EVENT_KINDS, ColorAssigned, CoalesceDecision,
                      SpillCandidateChosen, SpillDecision, SplitInserted,
                      SSASpillDecision, event_fields, event_from_fields)
 from .export import (TRACE_VERSION, TraceDocument, TraceEvent, load_trace,
-                     parse_trace, trace_lines, trace_to_text, write_trace)
+                     parse_trace, trace_lines, trace_meta, trace_to_text,
+                     write_trace)
 from .inspect import render_diff, render_summary, render_tree
 from .metrics import (ALLOCATE_LINE_KEYS, BUCKET_BASE, BUCKET_GROWTH,
                       Counter, Histogram, MetricsRegistry, N_BUCKETS,
@@ -69,6 +70,7 @@ __all__ = [
     "render_summary",
     "render_tree",
     "trace_lines",
+    "trace_meta",
     "trace_to_text",
     "write_trace",
 ]

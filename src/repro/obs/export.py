@@ -54,6 +54,17 @@ class TraceEvent:
         return getattr(self.event, name, default)
 
 
+def trace_meta(result: Any, source: str) -> dict[str, Any]:
+    """The identity block of a trace's ``meta`` line for an
+    :class:`~repro.regalloc.AllocationResult` (``repro trace`` and the
+    served ``trace`` op share it)."""
+    machine = result.machine
+    return {"function": result.function.name, "mode": result.mode.value,
+            "allocator": result.allocator, "machine": machine.name,
+            "int_regs": machine.int_regs,
+            "float_regs": machine.float_regs, "source": source}
+
+
 def trace_lines(root: Span, meta: dict[str, Any],
                 metrics: MetricsRegistry | None = None) -> Iterator[str]:
     """The JSONL lines of one trace (no trailing newline per line)."""

@@ -2,7 +2,7 @@
 
 The compilation architecture every layer shares: the allocator's round
 loop, the scalar optimizer and the experiment engine all source their
-analyses (liveness, dominance, post-dominance, loops, def-use) from one
+analyses (liveness, dominance, loops) from one
 :class:`AnalysisManager` and express transforms as
 :class:`~repro.passes.adapters.FunctionPass` objects driven by a
 :class:`PassPipeline`.  See ``docs/architecture.md`` for the layering
@@ -10,13 +10,11 @@ and the invalidation contract.
 """
 
 from .manager import (ALL_ANALYSES, ANALYSES_BY_NAME, Analysis,
-                      AnalysisManager, CFG_ANALYSES, DEFUSE, DOMINANCE,
-                      LIVENESS, LOOPS, POSTDOMINANCE, PreservedAnalyses)
+                      AnalysisManager, CFG_ANALYSES, DOMINANCE, LIVENESS,
+                      LOOPS, PreservedAnalyses)
 from .pipeline import PassPipeline, PipelineReport
 from .adapters import (DCEPass, FunctionPass, LICMPass, LVNPass,
-                       PASS_REGISTRY, PreSplitPass, RematSplitPass,
-                       RenumberPass, SSAConstructPass, SSADestructPass,
-                       SpillCodePass, make_pass)
+                       PASS_REGISTRY, PreSplitPass, RenumberPass, make_pass)
 
 __all__ = [
     "ALL_ANALYSES",
@@ -25,7 +23,6 @@ __all__ = [
     "AnalysisManager",
     "CFG_ANALYSES",
     "DCEPass",
-    "DEFUSE",
     "DOMINANCE",
     "FunctionPass",
     "LICMPass",
@@ -35,13 +32,8 @@ __all__ = [
     "PASS_REGISTRY",
     "PassPipeline",
     "PipelineReport",
-    "POSTDOMINANCE",
     "PreSplitPass",
     "PreservedAnalyses",
-    "RematSplitPass",
     "RenumberPass",
-    "SSAConstructPass",
-    "SSADestructPass",
-    "SpillCodePass",
     "make_pass",
 ]

@@ -6,8 +6,8 @@ valid when it changes the function) and a ``run(fn, am)`` method that
 returns the preservation that *actually* held (``all()`` when the pass
 turned out to be a no-op, the declaration otherwise).  Adapters keep
 their wrapped transform's stats/result object on the instance so callers
-that need more than the function mutation (SSA metadata, renumber
-outcomes, hoist counts) can still reach it.
+that need more than the function mutation (renumber outcomes, hoist
+counts) can still reach it.
 
 Transform modules are imported inside ``run`` bodies: the allocator and
 the optimizer import this package for the manager, so importing them
@@ -35,14 +35,13 @@ class FunctionPass(Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: instruction-level rewrites keep the CFG shape, so dominance,
-#: post-dominance and loops survive; liveness and def-use do not
+#: instruction-level rewrites keep the CFG shape, so dominance and
+#: loops survive; liveness does not
 _CFG_ONLY = PreservedAnalyses.cfg()
 #: pre-splitting inserts ``split r r`` only where *r* is already live,
 #: which leaves every block-boundary live set unchanged (checked against
 #: fresh recomputes by tests/passes/test_invalidation.py)
-_CFG_AND_LIVENESS = PreservedAnalyses.of("dominance", "postdominance",
-                                         "loops", "liveness")
+_CFG_AND_LIVENESS = PreservedAnalyses.of("dominance", "loops", "liveness")
 
 
 class DCEPass:
@@ -103,103 +102,22 @@ class LICMPass:
         return PreservedAnalyses.all()
 
 
-class SSAConstructPass:
-    """Pruned SSA construction (:func:`repro.ssa.construct_ssa`).
-
-    Leaves φ pseudo-instructions in the function; pair with
-    :class:`SSADestructPass` or :class:`RematSplitPass` before handing
-    the function to φ-free consumers.  The :class:`~repro.ssa.SSAInfo`
-    is kept on ``self.info``.
-    """
-
-    name = "ssa-construct"
-    preserves = _CFG_ONLY
-
-    def __init__(self) -> None:
-        self.info = None
-
-    def run(self, fn: Function, am: AnalysisManager) -> PreservedAnalyses:
-        from ..ssa import construct_ssa
-
-        self.info = construct_ssa(fn, dom=am.dominance(),
-                                  liveness=am.liveness())
-        return self.preserves
-
-
-class SSADestructPass:
-    """φ removal (:func:`repro.ssa.destroy_ssa`) for a prior
-    :class:`SSAConstructPass`."""
-
-    name = "ssa-destruct"
-    preserves = _CFG_ONLY
-
-    def __init__(self, construct: SSAConstructPass,
-                 insert_copies: bool = False) -> None:
-        self.construct = construct
-        self.insert_copies = insert_copies
-        self.result = None
-
-    def run(self, fn: Function, am: AnalysisManager) -> PreservedAnalyses:
-        from ..ssa import destroy_ssa
-
-        self.result = destroy_ssa(fn, self.construct.info,
-                                  insert_copies=self.insert_copies)
-        return self.preserves
-
-
-class RematSplitPass:
-    """Tag propagation + live-range splitting (:mod:`repro.remat`) over a
-    prior :class:`SSAConstructPass` — renumber's steps 4–6."""
-
-    name = "remat-split"
-    preserves = _CFG_ONLY
-
-    def __init__(self, mode, construct: SSAConstructPass,
-                 tracer=None) -> None:
-        self.mode = mode
-        self.construct = construct
-        self.tracer = tracer
-        self.result = None
-
-    def run(self, fn: Function, am: AnalysisManager) -> PreservedAnalyses:
-        from ..obs import NULL_TRACER
-        from ..remat import (RenumberMode, apply_plan, plan_unions,
-                             propagate_tags)
-        from ..ssa import SSAGraph
-
-        info = self.construct.info
-        tags = None
-        if self.mode is RenumberMode.REMAT:
-            tags = propagate_tags(SSAGraph.build(fn, info))
-        plan = plan_unions(fn, info, tags, self.mode)
-        self.result = apply_plan(fn, info, plan, tags,
-                                 tracer=self.tracer or NULL_TRACER)
-        return self.preserves
-
-
 class RenumberPass:
     """The allocator's full renumber phase
     (:func:`repro.regalloc.run_renumber`): SSA construction, tag
     propagation and splitting composed, φ-free on exit."""
 
-    name = "renumber"
     preserves = _CFG_ONLY
 
-    def __init__(self, mode, no_spill_regs=None, tracer=None) -> None:
+    def __init__(self, mode) -> None:
         self.mode = mode
-        self.no_spill_regs = no_spill_regs
-        self.tracer = tracer
         self.outcome = None
         self.name = f"renumber-{mode.value.replace('_', '-')}"
 
     def run(self, fn: Function, am: AnalysisManager) -> PreservedAnalyses:
-        from ..obs import NULL_TRACER
         from ..regalloc.renumber import run_renumber
 
-        self.outcome = run_renumber(fn, self.mode, dom=am.dominance(),
-                                    no_spill_regs=self.no_spill_regs,
-                                    tracer=self.tracer or NULL_TRACER,
-                                    am=am)
+        self.outcome = run_renumber(fn, self.mode, am=am)
         return self.preserves
 
 
@@ -219,25 +137,6 @@ class PreSplitPass:
         hook = self.scheme.pre_split
         if hook is not None:
             hook(fn, am.dominance(), am.loops(), am=am)
-        return self.preserves
-
-
-class SpillCodePass:
-    """Spill-code insertion (:func:`repro.regalloc.insert_spill_code`)
-    for one round's uncolored live ranges."""
-
-    name = "spill-code"
-    preserves = _CFG_ONLY
-
-    def __init__(self, spilled, costs) -> None:
-        self.spilled = spilled
-        self.costs = costs
-        self.stats = None
-
-    def run(self, fn: Function, am: AnalysisManager) -> PreservedAnalyses:
-        from ..regalloc.spillcode import insert_spill_code
-
-        self.stats = insert_spill_code(fn, self.spilled, self.costs)
         return self.preserves
 
 
@@ -266,9 +165,7 @@ def _registry() -> dict[str, Callable[[], FunctionPass]]:
     return reg
 
 
-#: CLI-constructible passes (``repro opt --passes`` / ``repro passes``);
-#: adapters needing per-call arguments (SSA pairs, spill code) are
-#: instantiated programmatically instead
+#: CLI-constructible passes (``repro opt --passes`` / ``repro passes``)
 PASS_REGISTRY: dict[str, Callable[[], FunctionPass]] = _registry()
 
 

@@ -1,10 +1,9 @@
 """The :class:`AnalysisManager`: lazy, cached, invalidation-aware analyses.
 
-Every transform in the repo needs some subset of the same five facts —
-liveness, dominance, post-dominance, loop nesting, def-use chains — and
-before this layer existed each one recomputed them ad hoc (the splitting
-schemes, SSA construction and LICM each ran their own liveness fixed
-point).  Following the argument of Tavares et al. (*Parameterized
+Every transform in the repo needs some subset of the same three facts —
+liveness, dominance, loop nesting — and before this layer existed each
+one recomputed them ad hoc (the splitting schemes, SSA construction and
+LICM each ran their own liveness fixed point).  Following the argument of Tavares et al. (*Parameterized
 Construction of Program Representations for Sparse Dataflow Analyses*),
 analysis construction is a shared service: a pass asks the manager, the
 manager computes at most once, and a pass that mutates the function
@@ -34,11 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..analysis import (CodeDelta, DefUse, DominanceInfo, LivenessInfo,
-                        LivenessUpdateStats, LoopInfo, PostDominanceInfo,
-                        compute_def_use, compute_dominance,
-                        compute_liveness, compute_loops,
-                        compute_postdominance)
+from ..analysis import (CodeDelta, DominanceInfo, LivenessInfo,
+                        LivenessUpdateStats, LoopInfo, compute_dominance,
+                        compute_liveness, compute_loops)
 from ..ir import Function
 from ..obs import MetricsRegistry
 
@@ -56,19 +53,15 @@ class Analysis:
 
 LIVENESS = Analysis("liveness", lambda fn, am: compute_liveness(fn))
 DOMINANCE = Analysis("dominance", lambda fn, am: compute_dominance(fn))
-POSTDOMINANCE = Analysis("postdominance",
-                         lambda fn, am: compute_postdominance(fn))
 LOOPS = Analysis("loops", lambda fn, am: compute_loops(fn, am.dominance()))
-DEFUSE = Analysis("defuse", lambda fn, am: compute_def_use(fn))
 
-ALL_ANALYSES: tuple[Analysis, ...] = (LIVENESS, DOMINANCE, POSTDOMINANCE,
-                                      LOOPS, DEFUSE)
+ALL_ANALYSES: tuple[Analysis, ...] = (LIVENESS, DOMINANCE, LOOPS)
 ANALYSES_BY_NAME: dict[str, Analysis] = {a.name: a for a in ALL_ANALYSES}
 
 #: analyses that depend only on the CFG's block/edge shape, not on the
 #: instructions inside blocks — preserved by any transform that neither
 #: adds/removes blocks nor rewrites terminators
-CFG_ANALYSES = frozenset({"dominance", "postdominance", "loops"})
+CFG_ANALYSES = frozenset({"dominance", "loops"})
 
 
 class PreservedAnalyses:
@@ -103,7 +96,7 @@ class PreservedAnalyses:
 
     @classmethod
     def cfg(cls) -> "PreservedAnalyses":
-        """Shape-only preservation: dominance, post-dominance, loops."""
+        """Shape-only preservation: dominance and loops."""
         return _CFG
 
     def preserves(self, name: str) -> bool:
@@ -178,14 +171,8 @@ class AnalysisManager:
     def dominance(self) -> DominanceInfo:
         return self.get(DOMINANCE)
 
-    def postdominance(self) -> PostDominanceInfo:
-        return self.get(POSTDOMINANCE)
-
     def loops(self) -> LoopInfo:
         return self.get(LOOPS)
-
-    def defuse(self) -> DefUse:
-        return self.get(DEFUSE)
 
     # -- invalidation ---------------------------------------------------------
 

@@ -12,7 +12,6 @@ from .renumber import RenumberOutcome, run_renumber
 from .select import SelectResult, find_partners, select
 from .simplify import SimplifyResult, simplify
 from .spillcode import SpillCodeStats, insert_spill_code
-from .slots import SlotPackingResult, pack_spill_slots
 from .spillcost import SpillCosts, compute_spill_costs
 from .splitting import SCHEMES, SplittingScheme
 from .strategy import (ALLOCATOR_NAMES, ALLOCATOR_STRATEGIES,
@@ -40,8 +39,6 @@ __all__ = [
     "RoundTimes",
     "SelectResult",
     "SimplifyResult",
-    "SlotPackingResult",
-    "pack_spill_slots",
     "SpillCodeStats",
     "SpillCosts",
     "allocate",

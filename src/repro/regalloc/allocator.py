@@ -48,7 +48,6 @@ renumber — see ``docs/architecture.md``.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 from ..ir import Function, verify_function
@@ -62,8 +61,8 @@ from .strategy import (AllocationContext, AllocationError, AllocationStats,
 #: pre-split hooks insert ``split r r`` only where ``r`` is live, which
 #: leaves every block-boundary live set intact — the hook's liveness
 #: fixed point stays valid for the first renumber's SSA construction
-_PRE_SPLIT_PRESERVES = PreservedAnalyses.of(
-    "dominance", "postdominance", "loops", "liveness")
+_PRE_SPLIT_PRESERVES = PreservedAnalyses.of("dominance", "loops",
+                                            "liveness")
 
 __all__ = [
     "AllocationError", "AllocationResult", "AllocationStats",
@@ -148,12 +147,11 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
         optimistic: Briggs' optimistic coloring (the default); with
             ``False`` simplify spills its candidates outright, like
             Chaitin's original allocator.
-        pre_split: optional hook ``f(fn, dom, loops) -> None`` run once
-            before the first renumber — used by the Section 6 loop-based
-            splitting schemes.  Hooks that additionally accept an ``am``
-            keyword receive the round loop's
-            :class:`~repro.passes.AnalysisManager` and share its cached
-            analyses.
+        pre_split: optional hook ``f(fn, dom, loops, am) -> None`` run
+            once before the first renumber — a Section 6 loop-based
+            splitting scheme's ``SplittingScheme.pre_split``.  ``am`` is
+            the round loop's :class:`~repro.passes.AnalysisManager`, so
+            the hook shares its cached analyses.
         tracer: observability sink; pass
             ``Tracer(capture_events=True)`` to record decision events
             alongside the (always recorded) span tree.
@@ -211,7 +209,7 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
             loops = am.loops()
 
         if pre_split is not None:
-            _call_pre_split(pre_split, work, dom, loops, am)
+            pre_split(work, dom, loops, am=am)
             am.invalidate(_PRE_SPLIT_PRESERVES)
             if verify_rounds:
                 verify_function(work)
@@ -245,23 +243,3 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
         clone_time=clone_span.duration if clone_span else 0.0,
         trace=root,
         allocator=allocator)
-
-
-def _call_pre_split(hook, fn: Function, dom, loops,
-                    am: AnalysisManager) -> None:
-    """Invoke a pre-split hook, passing the manager when it takes one.
-
-    The public hook signature stays ``f(fn, dom, loops)``; the bundled
-    Section 6 schemes additionally accept ``am`` and share the round
-    loop's cached liveness.
-    """
-    try:
-        params = inspect.signature(hook).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        params = {}
-    takes_am = "am" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
-    if takes_am:
-        hook(fn, dom, loops, am=am)
-    else:
-        hook(fn, dom, loops)

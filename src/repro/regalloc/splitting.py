@@ -19,11 +19,10 @@ fresh SSA value, so the tag machinery and the conservative-coalesce /
 biased-coloring cleanup treat these extra seams exactly like the φ-derived
 ones.  Scheme 4 is :data:`~repro.remat.RenumberMode.SPLIT_ALL`.
 
-Hooks accept an optional :class:`~repro.passes.AnalysisManager` (``am``)
-and source liveness through it when given; the allocator passes its
-round manager, so the hook's liveness fixed point is shared with the
-first renumber's SSA construction instead of being recomputed twice on
-an unchanged function.  Splitting ``r`` only where ``r`` is live leaves
+Hooks take the allocator's round :class:`~repro.passes.AnalysisManager`
+(``am``) and source liveness through it, so the hook's liveness fixed
+point is shared with the first renumber's SSA construction instead of
+being recomputed twice on an unchanged function.  Splitting ``r`` only where ``r`` is live leaves
 every block-boundary live set unchanged, so the hooks *preserve*
 liveness (the invalidation property tests check this against fresh
 recomputes).
@@ -34,16 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..analysis import (DominanceInfo, LivenessInfo, LoopInfo,
-                        compute_liveness)
+from ..analysis import DominanceInfo, LoopInfo
 from ..ir import Function, Instruction, Opcode, Reg, RegClass
+from ..passes import AnalysisManager
 from ..remat import RenumberMode
 
-PreSplitHook = Callable[..., None]
-
-
-def _liveness(fn: Function, am) -> LivenessInfo:
-    return am.liveness() if am is not None else compute_liveness(fn)
+PreSplitHook = Callable[[Function, DominanceInfo, LoopInfo, AnalysisManager],
+                        None]
 
 
 def _split_instruction(reg: Reg) -> Instruction:
@@ -55,13 +51,13 @@ def _loop_boundary_splits(fn: Function, dom: DominanceInfo,
                           loops: LoopInfo,
                           want_loop,
                           want_reg,
-                          am=None) -> int:
+                          am: AnalysisManager) -> int:
     """Insert ``split r r`` at the entries and exits of selected loops.
 
     *want_loop(loop)* selects loops; *want_reg(reg, loop)* selects which
     live registers to split there.  Returns the number of splits inserted.
     """
-    liveness = _liveness(fn, am)
+    liveness = am.liveness()
     preds = fn.predecessors_map()
     inserted = 0
     for loop in loops.loops.values():
@@ -94,7 +90,7 @@ def _loop_boundary_splits(fn: Function, dom: DominanceInfo,
 
 
 def split_around_all_loops(fn: Function, dom: DominanceInfo,
-                           loops: LoopInfo, am=None) -> None:
+                           loops: LoopInfo, am: AnalysisManager) -> None:
     """Scheme 1: every live range, every loop."""
     _loop_boundary_splits(fn, dom, loops,
                           want_loop=lambda loop: True,
@@ -103,7 +99,7 @@ def split_around_all_loops(fn: Function, dom: DominanceInfo,
 
 
 def split_around_outer_loops(fn: Function, dom: DominanceInfo,
-                             loops: LoopInfo, am=None) -> None:
+                             loops: LoopInfo, am: AnalysisManager) -> None:
     """Scheme 2: every live range, outermost loops only."""
     _loop_boundary_splits(fn, dom, loops,
                           want_loop=lambda loop: loop.parent is None,
@@ -112,7 +108,7 @@ def split_around_outer_loops(fn: Function, dom: DominanceInfo,
 
 
 def split_around_unused_loops(fn: Function, dom: DominanceInfo,
-                              loops: LoopInfo, am=None) -> None:
+                              loops: LoopInfo, am: AnalysisManager) -> None:
     """Scheme 3: split a live range around the outermost loop where it is
     neither used nor defined (it is merely live through the loop)."""
     # registers referenced per loop body
@@ -142,11 +138,11 @@ def split_around_unused_loops(fn: Function, dom: DominanceInfo,
 
 
 def split_reverse_frontier(fn: Function, dom: DominanceInfo,
-                           loops: LoopInfo, am=None) -> None:
+                           loops: LoopInfo, am: AnalysisManager) -> None:
     """The reverse-frontier half of scheme 5: a split for every live
     register at the entry of each branch target (the joins of the reverse
     CFG)."""
-    liveness = _liveness(fn, am)
+    liveness = am.liveness()
     for blk in list(fn.blocks):
         succs = blk.successors()
         if len(succs) < 2:

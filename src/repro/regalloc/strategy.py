@@ -49,8 +49,8 @@ from .spillcost import compute_spill_costs
 
 #: renumber and spill-code insertion rewrite instructions and register
 #: names but never the CFG shape (edges were split up front), so the
-#: round loop keeps dominance/post-dominance/loops across rounds and
-#: drops only liveness/def-use
+#: round loop keeps dominance/loops across rounds and drops only
+#: liveness
 _CFG_ONLY = PreservedAnalyses.cfg()
 
 
@@ -157,8 +157,8 @@ class IteratedColoringStrategy(AllocatorStrategy):
                     outcome = run_renumber(work, ctx.mode, dom=ctx.dom,
                                            no_spill_regs=no_spill_regs,
                                            tracer=tracer, am=am)
-                # renumber renames every register: liveness/def-use are
-                # stale, the CFG analyses survive
+                # renumber renames every register: liveness is stale,
+                # the CFG analyses survive
                 am.invalidate(_CFG_ONLY)
                 if ctx.verify_rounds:
                     verify_function(work)

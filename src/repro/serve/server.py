@@ -609,10 +609,12 @@ def _parse_addr(addr: str) -> tuple[str, int]:
 
 def execute_trace(request) -> str:
     """The ``trace`` operation: allocate with the tracer attached and
-    render the JSONL document — identical to what ``repro trace
-    --format jsonl`` emits for the same function/machine/mode."""
+    render the JSONL document — what ``repro trace --format jsonl``
+    emits for the same request, with ``source`` set to ``<serve>``."""
+    from ..engine.executor import allocate_options
     from ..ir import parse_function
-    from ..obs import Tracer, metrics_from_allocation, trace_to_text
+    from ..obs import (Tracer, metrics_from_allocation, trace_meta,
+                       trace_to_text)
     from ..opt import optimize
     from ..regalloc import allocate
 
@@ -620,15 +622,8 @@ def execute_trace(request) -> str:
     if request.optimize_first:
         optimize(fn)
     tracer = Tracer(capture_events=True)
-    result = allocate(fn, machine=request.machine, mode=request.mode,
-                      tracer=tracer)
-    meta = {"function": result.function.name,
-            "mode": result.mode.value,
-            "machine": result.machine.name,
-            "int_regs": result.machine.int_regs,
-            "float_regs": result.machine.float_regs,
-            "source": "<serve>"}
-    return trace_to_text(result.trace, meta,
+    result = allocate(fn, tracer=tracer, **allocate_options(request))
+    return trace_to_text(result.trace, trace_meta(result, "<serve>"),
                          metrics_from_allocation(result))
 
 

@@ -4,9 +4,3 @@ from .construction import SSAError, SSAInfo, construct_ssa
 from .ssa_graph import SSAGraph
 
 __all__ = ["SSAError", "SSAGraph", "SSAInfo", "construct_ssa"]
-
-# destroy_ssa imports from repro.remat, which imports repro.ssa; import it
-# last so the module graph resolves cleanly.
-from .destruction import destroy_ssa  # noqa: E402
-
-__all__.append("destroy_ssa")

@@ -6,8 +6,7 @@ hypothesis tests sweep arbitrary generated control flow.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import (compute_dominance, compute_liveness,
-                            compute_loops, compute_postdominance)
+from repro.analysis import compute_dominance, compute_liveness, compute_loops
 from repro.benchsuite import GeneratorConfig, random_program
 
 from ..helpers import naive_dominators, naive_live_in
@@ -50,21 +49,6 @@ def test_loop_depths_are_consistent(seed):
         for label in loop.body:
             assert loops.depth[label] >= loop.depth
             assert dom.dominates(loop.header, label)
-
-
-@common
-@given(seed=st.integers(0, 10_000))
-def test_postdominance_exit_blocks(seed):
-    """Blocks ending in ret postdominate themselves and the virtual exit
-    postdominates everything (transitively: every block reaches a ret)."""
-    from repro.ir import Opcode
-    fn = random_program(seed, SHAPES)
-    pdom = compute_postdominance(fn)
-    rets = [b.label for b in fn.blocks
-            if b.is_terminated and b.terminator.opcode is Opcode.RET]
-    assert rets
-    for label in rets:
-        assert pdom.postdominates(label, label)
 
 
 @common

@@ -5,8 +5,8 @@ import pytest
 from repro.analysis import DominanceInfo, LivenessInfo, LoopInfo
 from repro.obs import MetricsRegistry
 from repro.passes import (ALL_ANALYSES, ANALYSES_BY_NAME, CFG_ANALYSES,
-                          DEFUSE, DOMINANCE, LIVENESS, LOOPS, POSTDOMINANCE,
-                          AnalysisManager, PreservedAnalyses)
+                          DOMINANCE, LIVENESS, LOOPS, AnalysisManager,
+                          PreservedAnalyses)
 
 from ..helpers import nested_loops, single_loop
 
@@ -95,11 +95,11 @@ class TestPreservedAnalyses:
             assert preserved.preserves(name)
 
     def test_cfg_names_are_shape_only(self):
-        assert CFG_ANALYSES == {"dominance", "postdominance", "loops"}
+        assert CFG_ANALYSES == {"dominance", "loops"}
         cfg = PreservedAnalyses.cfg()
+        assert cfg.preserves("dominance")
         assert cfg.preserves("loops")
         assert not cfg.preserves("liveness")
-        assert not cfg.preserves("defuse")
 
     def test_intersection(self):
         a = PreservedAnalyses.of("dominance", "liveness")
@@ -125,8 +125,8 @@ class TestPreservedAnalyses:
 
 
 class TestRegistry:
-    def test_five_analyses_registered(self):
+    def test_three_analyses_registered(self):
         assert {a.name for a in ALL_ANALYSES} == {
-            "liveness", "dominance", "postdominance", "loops", "defuse"}
-        for analysis in (LIVENESS, DOMINANCE, POSTDOMINANCE, LOOPS, DEFUSE):
+            "liveness", "dominance", "loops"}
+        for analysis in (LIVENESS, DOMINANCE, LOOPS):
             assert ANALYSES_BY_NAME[analysis.name] is analysis

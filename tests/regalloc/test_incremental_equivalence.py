@@ -158,3 +158,21 @@ def test_coalesce_patches_match_rebuilds(seed):
                                    liveness=liveness,
                                    verify_incremental=True)
     assert not diff_graphs(graph, build_interference_graph(fn, liveness))
+
+
+def test_build_scaling_e2e_arms_agree():
+    """``benchmarks/bench_build_scaling.py``'s end-to-end race at its
+    byte-identity point: the pre-incremental baseline (from-scratch
+    analyses, seed color phases patched into the strategy module) and
+    the default allocator produce the same code, and the baseline never
+    patches liveness."""
+    from benchmarks import bench_build_scaling as bench
+    from repro.ir import function_to_text
+
+    config = dict(bench.SCALES)[bench.E2E_EQUIV_POINT]
+    fn = random_program(bench.SEED, config)
+    incremental = bench._allocate_incremental(fn)
+    baseline = bench._allocate_baseline(fn)
+    assert (function_to_text(baseline.function)
+            == function_to_text(incremental.function))
+    assert baseline.stats.n_liveness_updates == 0

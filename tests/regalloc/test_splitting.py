@@ -11,6 +11,7 @@ from repro.regalloc.splitting import (SCHEMES, split_around_all_loops,
                                       split_around_outer_loops,
                                       split_around_unused_loops)
 from repro.analysis import compute_dominance, compute_loops
+from repro.passes import AnalysisManager
 
 from ..helpers import figure1_fragment, nested_loops
 
@@ -30,20 +31,22 @@ def count_splits(fn):
 class TestPreSplitHooks:
     def test_around_all_loops_inserts_splits(self):
         fn, dom, loops = prepared(nested_loops())
-        split_around_all_loops(fn, dom, loops)
+        split_around_all_loops(fn, dom, loops, am=AnalysisManager(fn))
         assert count_splits(fn) > 0
 
     def test_outer_only_inserts_fewer(self):
         fn_all, dom, loops = prepared(nested_loops())
-        split_around_all_loops(fn_all, dom, loops)
+        split_around_all_loops(fn_all, dom, loops,
+                               am=AnalysisManager(fn_all))
         fn_outer, dom2, loops2 = prepared(nested_loops())
-        split_around_outer_loops(fn_outer, dom2, loops2)
+        split_around_outer_loops(fn_outer, dom2, loops2,
+                                 am=AnalysisManager(fn_outer))
         assert count_splits(fn_outer) <= count_splits(fn_all)
 
     def test_unused_loops_targets_live_through_regs(self):
         # in figure1, y is live through loop 2 but unreferenced there
         fn, dom, loops = prepared(figure1_fragment())
-        split_around_unused_loops(fn, dom, loops)
+        split_around_unused_loops(fn, dom, loops, am=AnalysisManager(fn))
         assert count_splits(fn) >= 1
 
     def test_hooks_preserve_semantics_pre_allocation(self):
@@ -51,7 +54,7 @@ class TestPreSplitHooks:
                      split_around_unused_loops):
             fn, dom, loops = prepared(nested_loops())
             expected = run_function(nested_loops(), args=[5]).output
-            hook(fn, dom, loops)
+            hook(fn, dom, loops, am=AnalysisManager(fn))
             assert run_function(fn, args=[5]).output == expected, hook
 
 

@@ -1,6 +1,7 @@
 """End-to-end service observability: stitched cross-process traces,
 the access log, the flight recorder, and quantile agreement."""
 
+import http.client
 import json
 import pathlib
 
@@ -9,7 +10,7 @@ import pytest
 from repro.engine import (ExperimentEngine, FaultPlan, WorkerPool,
                           request_key)
 from repro.ir import function_to_text
-from repro.obs import Span, bucket_index
+from repro.obs import Span, bucket_index, render_prometheus
 from repro.serve import (FlightRecorder, RequestRecord, ServeClient,
                          ServeConfig, ServerThread, access_line, dumps,
                          request_from_json, run_load,
@@ -302,3 +303,28 @@ class TestTracingDisabled:
         entry, = debug["slowest"]
         execute = entry["trace"]["children"][4]
         assert execute["children"] == []  # no stitched subtree
+
+
+class TestPrometheusEndpoint:
+    def test_metrics_addr_serves_the_snapshot(self):
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        config = ServeConfig(metrics_addr="127.0.0.1:0")
+        with ServerThread(engine, config) as srv:
+            # the allocate connection stays open until the snapshot is
+            # taken, so no traffic lands between the GET and the check
+            with ServeClient("127.0.0.1", srv.port) as client:
+                client.allocate(**spec(0))
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", srv.server.metrics_port, timeout=30)
+                try:
+                    conn.request("GET", "/metrics")
+                    response = conn.getresponse()
+                    body = response.read().decode()
+                finally:
+                    conn.close()
+                expected = render_prometheus(srv.server.metrics_snapshot())
+        assert response.status == 200
+        assert response.getheader("Content-Type").startswith(
+            "text/plain; version=0.0.4")
+        assert body == expected
+        assert "serve_request_seconds_count 1" in body

@@ -241,10 +241,14 @@ class TestEndToEnd:
         local = serial_engine().run_many([request_from_json(spec(0))])[0]
         assert dumps(served) == dumps(summary_to_json(local))
 
-    def test_trace_matches_local_trace(self):
+    def test_trace_matches_local_trace(self, tmp_path, capsys):
         """Identical to a local ``execute_trace`` modulo wall-clock
-        fields (span start/dur and timing histograms are live data)."""
+        fields (span start/dur and timing histograms are live data),
+        under every allocator the request can name; the identity block
+        is what ``repro trace --format jsonl`` writes, bar ``source``."""
         import json
+
+        from repro.cli import main
 
         def normalized(text):
             lines = []
@@ -259,15 +263,26 @@ class TestEndToEnd:
                 lines.append(dumps(obj))
             return lines
 
-        with ServerThread(serial_engine()) as srv:
-            with ServeClient("127.0.0.1", srv.port) as client:
-                served = client.trace(**spec(0))
-        local = execute_trace(request_from_json(spec(0)))
-        assert normalized(served) == normalized(local)
-        # the identity block is fully deterministic
-        meta = json.loads(served.splitlines()[0])
-        assert meta["function"] == json.loads(
-            local.splitlines()[0])["function"]
+        path = tmp_path / "loop.il"
+        path.write_text(LOOP_TEXT)
+        for allocator in ("iterated", "ssa"):
+            request = {**spec(0), "allocator": allocator}
+            with ServerThread(serial_engine()) as srv:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    served = client.trace(**request)
+            local = execute_trace(request_from_json(request))
+            assert normalized(served) == normalized(local), allocator
+
+            assert main(["trace", str(path), "--format", "jsonl",
+                         "--k", "4", "--allocator", allocator]) == 0
+            cli_meta = json.loads(capsys.readouterr().out.splitlines()[0])
+            meta = json.loads(served.splitlines()[0])
+            assert meta.pop("source") == "<serve>"
+            cli_meta.pop("source")
+            assert meta == cli_meta, allocator
+            root = next(obj for obj in map(json.loads, served.splitlines())
+                        if obj["type"] == "span" and obj["parent"] is None)
+            assert root["attrs"]["allocator"] == allocator
 
     def test_concurrent_clients_batch_and_agree(self):
         config = ServeConfig(max_batch=16)

@@ -193,5 +193,5 @@ class TestPassesCommand:
     def test_shows_invalidation_contracts(self, capsys):
         assert main(["passes"]) == 0
         out = capsys.readouterr().out
-        assert "preserves: dominance, loops, postdominance" in out
+        assert "preserves: dominance, loops" in out
         assert "preserves: none" in out
